@@ -1,10 +1,15 @@
 #include "io/tracefile.h"
 
+#include <cmath>
 #include <iomanip>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <string_view>
+
+#include "netbase/parse.h"
 
 namespace wormhole::io {
 
@@ -22,20 +27,50 @@ char KindCode(PacketKind kind) {
   return '?';
 }
 
-PacketKind KindFromCode(char code) {
-  switch (code) {
-    case 'x': return PacketKind::kTimeExceeded;
-    case 'e': return PacketKind::kEchoReply;
-    case 'u': return PacketKind::kDestinationUnreachable;
-    default:
-      throw std::runtime_error(std::string("bad reply kind code: ") + code);
-  }
+[[noreturn]] void Malformed(std::size_t line, const std::string& what) {
+  throw std::runtime_error("tracefile line " + std::to_string(line) + ": " +
+                           what);
 }
 
-netbase::Ipv4Address ParseAddress(const std::string& text) {
+/// A whole-string decimal integer in [lo, hi]; `field` names it in the
+/// error.
+int ParseInt(std::string_view text, int lo, int hi, const char* field,
+             std::size_t line) {
+  const auto value = netbase::ParseNumber<int>(text);
+  if (!value || *value < lo || *value > hi) {
+    const std::string quoted = "'" + std::string(text) + "'";
+    Malformed(line, std::string("bad ") + field + " " + quoted);
+  }
+  return *value;
+}
+
+netbase::Ipv4Address ParseAddress(const std::string& text, std::size_t line) {
   const auto address = netbase::Ipv4Address::Parse(text);
-  if (!address) throw std::runtime_error("bad address: " + text);
+  if (!address) Malformed(line, "bad address '" + text + "'");
   return *address;
+}
+
+PacketKind ParseKind(const std::string& text, std::size_t line) {
+  if (text == "x") return PacketKind::kTimeExceeded;
+  if (text == "e") return PacketKind::kEchoReply;
+  if (text == "u") return PacketKind::kDestinationUnreachable;
+  Malformed(line, "bad reply kind '" + text + "'");
+}
+
+/// L<label>:<ttl>, the label within 20 bits and the TTL within 8.
+netbase::LabelStackEntry ParseLabel(const std::string& text,
+                                    std::size_t line) {
+  const auto colon = text.find(':');
+  if (!text.starts_with('L') || colon == std::string::npos) {
+    Malformed(line, "bad label field '" + text + "'");
+  }
+  const std::string_view label = std::string_view(text).substr(1, colon - 1);
+  const std::string_view ttl = std::string_view(text).substr(colon + 1);
+  netbase::LabelStackEntry lse;
+  lse.label = static_cast<std::uint32_t>(
+      ParseInt(label, 0, netbase::kMaxLabel, "label", line));
+  lse.ttl = static_cast<std::uint8_t>(ParseInt(ttl, 0, 255, "LSE TTL", line));
+  return lse;
 }
 
 }  // namespace
@@ -70,69 +105,62 @@ void WriteTraces(std::ostream& os,
 std::vector<probe::TraceResult> ReadTraces(std::istream& is) {
   std::vector<probe::TraceResult> traces;
   probe::TraceResult current;
-  bool in_trace = false;
+  std::size_t trace_line = 0;  // line of the open T record; 0 if none
   std::string line;
+  std::vector<std::string> f;  // the line's fields
 
-  while (std::getline(is, line)) {
+  for (std::size_t number = 1; std::getline(is, line); ++number) {
     if (line.empty() || line[0] == '#') continue;
     std::istringstream ss(line);
-    std::string tag;
-    ss >> tag;
+    f.clear();
+    for (std::string field; ss >> field;) f.push_back(field);
+    if (f.empty()) continue;
+    const std::string& tag = f[0];
 
     if (tag == "T") {
-      if (in_trace) throw std::runtime_error("nested trace record");
-      std::string src, dst;
-      int reached = 0;
-      int unreachable = 0;
+      if (trace_line != 0) Malformed(number, "nested trace record");
+      if (f.size() != 6) Malformed(number, "T record needs 5 fields");
       current = probe::TraceResult{};
-      ss >> src >> dst >> current.flow_id >> reached >> unreachable;
-      if (!ss) throw std::runtime_error("malformed T record: " + line);
-      current.source = ParseAddress(src);
-      current.target = ParseAddress(dst);
-      current.reached = reached != 0;
-      current.unreachable = unreachable != 0;
-      in_trace = true;
+      current.source = ParseAddress(f[1], number);
+      current.target = ParseAddress(f[2], number);
+      current.flow_id = static_cast<std::uint16_t>(
+          ParseInt(f[3], 0, 0xFFFF, "flow id", number));
+      current.reached = ParseInt(f[4], 0, 1, "reached flag", number) != 0;
+      current.unreachable =
+          ParseInt(f[5], 0, 1, "unreachable flag", number) != 0;
+      trace_line = number;
     } else if (tag == "H") {
-      if (!in_trace) throw std::runtime_error("H record outside trace");
+      if (trace_line == 0) Malformed(number, "H record outside trace");
+      const bool silent = f.size() >= 3 && f[2] == "*";
+      if (silent ? f.size() != 3 : f.size() < 6) {
+        Malformed(number, "malformed H record");
+      }
       probe::Hop hop;
-      std::string addr;
-      ss >> hop.probe_ttl >> addr;
-      if (!ss) throw std::runtime_error("malformed H record: " + line);
-      if (addr != "*") {
-        hop.address = ParseAddress(addr);
-        std::string kind;
-        ss >> kind >> hop.reply_ip_ttl >> hop.rtt_ms;
-        if (!ss || kind.size() != 1) {
-          throw std::runtime_error("malformed H record: " + line);
+      hop.probe_ttl = ParseInt(f[1], 1, 255, "probe TTL", number);
+      if (!silent) {
+        hop.address = ParseAddress(f[2], number);
+        hop.reply_kind = ParseKind(f[3], number);
+        hop.reply_ip_ttl = ParseInt(f[4], 0, 255, "reply TTL", number);
+        const auto rtt = netbase::ParseNumber<double>(f[5]);
+        if (!rtt || !std::isfinite(*rtt) || *rtt < 0.0) {
+          Malformed(number, "bad RTT '" + f[5] + "'");
         }
-        hop.reply_kind = KindFromCode(kind[0]);
-        std::string label_text;
-        while (ss >> label_text) {
-          if (label_text.empty() || label_text[0] != 'L') {
-            throw std::runtime_error("bad label field: " + label_text);
-          }
-          const auto colon = label_text.find(':');
-          if (colon == std::string::npos) {
-            throw std::runtime_error("bad label field: " + label_text);
-          }
-          netbase::LabelStackEntry lse;
-          lse.label = static_cast<std::uint32_t>(
-              std::stoul(label_text.substr(1, colon - 1)));
-          lse.ttl = static_cast<std::uint8_t>(
-              std::stoi(label_text.substr(colon + 1)));
-          hop.labels.push_back(lse);
+        hop.rtt_ms = *rtt;
+        for (std::size_t i = 6; i < f.size(); ++i) {
+          hop.labels.push_back(ParseLabel(f[i], number));
         }
       }
       current.hops.push_back(std::move(hop));
     } else if (tag == ".") {
-      if (!in_trace) throw std::runtime_error("stray trace terminator");
+      if (trace_line == 0) Malformed(number, "stray trace terminator");
+      if (f.size() != 1) Malformed(number, "trailing fields after '.'");
       traces.push_back(std::move(current));
-      in_trace = false;
+      trace_line = 0;
     } else {
-      throw std::runtime_error("unknown record tag: " + tag);
+      Malformed(number, "unknown record tag '" + tag + "'");
     }
   }
-  if (in_trace) throw std::runtime_error("unterminated trace record");
+  if (trace_line != 0) Malformed(trace_line, "unterminated trace record");
   return traces;
 }
 

@@ -20,8 +20,10 @@ void WriteTrace(std::ostream& os, const probe::TraceResult& trace);
 void WriteTraces(std::ostream& os,
                  const std::vector<probe::TraceResult>& traces);
 
-/// Reads every trace from the stream; throws std::runtime_error on a
-/// malformed record.
+/// Reads every trace from the stream. Throws std::runtime_error naming the
+/// line number on a malformed record or an out-of-range field: labels
+/// above 2^20-1, LSE and reply TTLs outside 0..255, probe TTLs outside
+/// 1..255, flow ids above 65535, negative or non-finite RTTs.
 std::vector<probe::TraceResult> ReadTraces(std::istream& is);
 
 }  // namespace wormhole::io

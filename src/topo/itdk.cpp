@@ -5,6 +5,9 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+
+#include "netbase/parse.h"
 
 namespace wormhole::topo {
 
@@ -16,6 +19,7 @@ NodeId ItdkDataset::NodeOf(netbase::Ipv4Address address) {
   node.id = id;
   node.addresses.push_back(address);
   nodes_.push_back(std::move(node));
+  neighbors_.emplace_back();
   address_to_node_[address] = id;
   return id;
 }
@@ -40,41 +44,33 @@ void ItdkDataset::AddAlias(NodeId node, netbase::Ipv4Address address) {
 }
 
 void ItdkDataset::AddLink(NodeId a, NodeId b) {
-  if (a == b) return;
-  const auto key = std::minmax(a, b);
-  if (!link_index_.insert(LinkKey(key.first, key.second)).second) return;
-  links_.emplace(key.first, key.second);
-  adjacency_[a].insert(b);
-  adjacency_[b].insert(a);
+  if (a == b || HasLink(a, b)) return;
+  std::vector<NodeId>& of_a = neighbors_.at(a);
+  std::vector<NodeId>& of_b = neighbors_.at(b);
+  of_a.insert(std::lower_bound(of_a.begin(), of_a.end(), b), b);
+  of_b.insert(std::lower_bound(of_b.begin(), of_b.end(), a), a);
+  ++link_count_;
 }
 
 void ItdkDataset::RemoveLink(NodeId a, NodeId b) {
-  const auto key = std::minmax(a, b);
-  if (link_index_.erase(LinkKey(key.first, key.second)) > 0) {
-    links_.erase({key.first, key.second});
-    adjacency_[a].erase(b);
-    adjacency_[b].erase(a);
-  }
+  if (!HasLink(a, b)) return;
+  std::vector<NodeId>& of_a = neighbors_[a];
+  std::vector<NodeId>& of_b = neighbors_[b];
+  of_a.erase(std::lower_bound(of_a.begin(), of_a.end(), b));
+  of_b.erase(std::lower_bound(of_b.begin(), of_b.end(), a));
+  --link_count_;
 }
 
 bool ItdkDataset::HasLink(NodeId a, NodeId b) const {
-  const auto key = std::minmax(a, b);
-  return link_index_.contains(LinkKey(key.first, key.second));
+  const auto of_a = NeighborsOf(a);
+  const auto of_b = NeighborsOf(b);
+  return of_a.size() <= of_b.size()
+             ? std::binary_search(of_a.begin(), of_a.end(), b)
+             : std::binary_search(of_b.begin(), of_b.end(), a);
 }
 
 void ItdkDataset::SetAs(NodeId node, AsNumber asn) {
   nodes_.at(node).asn = asn;
-}
-
-std::size_t ItdkDataset::Degree(NodeId node) const {
-  const auto it = adjacency_.find(node);
-  return it == adjacency_.end() ? 0 : it->second.size();
-}
-
-const std::set<NodeId>& ItdkDataset::NeighborsOf(NodeId node) const {
-  static const std::set<NodeId> kEmpty;
-  const auto it = adjacency_.find(node);
-  return it == adjacency_.end() ? kEmpty : it->second;
 }
 
 netbase::IntDistribution ItdkDataset::DegreeDistribution() const {
@@ -102,13 +98,19 @@ std::vector<NodeId> ItdkDataset::HighDegreeNodes(std::size_t threshold) const {
 }
 
 double ItdkDataset::Density(const std::vector<NodeId>& nodes) const {
-  if (nodes.size() < 2) return 0.0;
-  const std::set<NodeId> in_set(nodes.begin(), nodes.end());
+  std::vector<NodeId> members(nodes);
+  std::sort(members.begin(), members.end());
+  members.erase(std::unique(members.begin(), members.end()), members.end());
+  if (members.size() < 2) return 0.0;
   std::size_t edges = 0;
-  for (const auto& [a, b] : links_) {
-    if (in_set.contains(a) && in_set.contains(b)) ++edges;
+  for (const NodeId a : members) {
+    for (const NodeId b : NeighborsOf(a)) {
+      if (b > a && std::binary_search(members.begin(), members.end(), b)) {
+        ++edges;
+      }
+    }
   }
-  const double v = static_cast<double>(in_set.size());
+  const double v = static_cast<double>(members.size());
   return 2.0 * static_cast<double>(edges) / (v * (v - 1.0));
 }
 
@@ -125,18 +127,27 @@ void ItdkDataset::Write(std::ostream& os) const {
   for (const ItdkNode& node : nodes_) {
     if (node.asn != 0) os << "node.AS N" << node.id << ' ' << node.asn << '\n';
   }
-  for (const auto& [a, b] : links_) {
-    os << "link N" << a << " N" << b << '\n';
+  for (const ItdkNode& node : nodes_) {
+    for (const NodeId b : NeighborsOf(node.id)) {
+      if (b > node.id) os << "link N" << node.id << " N" << b << '\n';
+    }
   }
 }
 
 namespace {
 
-NodeId ParseNodeRef(const std::string& token) {
-  if (token.empty() || token[0] != 'N') {
-    throw std::runtime_error("bad node reference: " + token);
+[[noreturn]] void Malformed(std::size_t line, const std::string& what) {
+  throw std::runtime_error("itdk line " + std::to_string(line) + ": " + what);
+}
+
+/// "N<id>" with a decimal id that fits NodeId, nothing else.
+NodeId ParseNodeRef(std::string_view token, std::size_t line) {
+  if (token.starts_with('N')) {
+    if (const auto id = netbase::ParseNumber<NodeId>(token.substr(1))) {
+      return *id;
+    }
   }
-  return static_cast<NodeId>(std::stoul(token.substr(1)));
+  Malformed(line, "bad node reference '" + std::string(token) + "'");
 }
 
 }  // namespace
@@ -144,41 +155,60 @@ NodeId ParseNodeRef(const std::string& token) {
 ItdkDataset ItdkDataset::Read(std::istream& is) {
   ItdkDataset dataset;
   std::unordered_map<NodeId, NodeId> remap;  // file id -> dataset id
+  const auto declared = [&remap](std::string_view token, std::size_t line) {
+    const auto it = remap.find(ParseNodeRef(token, line));
+    if (it == remap.end()) {
+      Malformed(line, "undeclared node " + std::string(token));
+    }
+    return it->second;
+  };
   std::string line;
-  while (std::getline(is, line)) {
+  std::vector<std::string> tokens;
+  for (std::size_t number = 1; std::getline(is, line); ++number) {
     if (line.empty() || line[0] == '#') continue;
     std::istringstream ss(line);
-    std::string keyword;
-    ss >> keyword;
+    tokens.clear();
+    for (std::string token; ss >> token;) tokens.push_back(token);
+    if (tokens.empty()) continue;
+    const std::string& keyword = tokens[0];
     if (keyword == "node") {
-      std::string ref;
-      ss >> ref;
-      if (!ref.empty() && ref.back() == ':') ref.pop_back();
-      const NodeId file_id = ParseNodeRef(ref);
-      std::string addr_text;
+      if (tokens.size() < 3) Malformed(number, "node with no addresses");
+      std::string_view ref = tokens[1];
+      if (ref.ends_with(':')) ref.remove_suffix(1);
+      const NodeId file_id = ParseNodeRef(ref, number);
+      if (remap.contains(file_id)) {
+        Malformed(number, "node " + std::string(ref) + " declared twice");
+      }
       NodeId id = kNoNode;
-      while (ss >> addr_text) {
-        const auto address = netbase::Ipv4Address::Parse(addr_text);
-        if (!address) throw std::runtime_error("bad address: " + addr_text);
+      for (std::size_t i = 2; i < tokens.size(); ++i) {
+        const auto address = netbase::Ipv4Address::Parse(tokens[i]);
+        if (!address) Malformed(number, "bad address '" + tokens[i] + "'");
+        if (dataset.FindNode(*address)) {
+          Malformed(number, "address " + tokens[i] + " listed twice");
+        }
         if (id == kNoNode) {
           id = dataset.NodeOf(*address);
         } else {
           dataset.AddAlias(id, *address);
         }
       }
-      if (id == kNoNode) throw std::runtime_error("node with no addresses");
-      remap[file_id] = id;
-    } else if (keyword == "node.AS") {
-      std::string ref;
-      AsNumber asn = 0;
-      ss >> ref >> asn;
-      dataset.SetAs(remap.at(ParseNodeRef(ref)), asn);
-    } else if (keyword == "link") {
-      std::string ra, rb;
-      ss >> ra >> rb;
-      dataset.AddLink(remap.at(ParseNodeRef(ra)), remap.at(ParseNodeRef(rb)));
+      remap.emplace(file_id, id);
+    } else if (keyword == "node.AS" || keyword == "link") {
+      if (tokens.size() != 3) {
+        Malformed(number, keyword + " needs exactly two fields");
+      }
+      const NodeId a = declared(tokens[1], number);
+      if (keyword == "link") {
+        const NodeId b = declared(tokens[2], number);
+        if (a == b) Malformed(number, "self-link");
+        dataset.AddLink(a, b);
+      } else {
+        const auto asn = netbase::ParseNumber<AsNumber>(tokens[2]);
+        if (!asn) Malformed(number, "bad AS number '" + tokens[2] + "'");
+        dataset.SetAs(a, *asn);
+      }
     } else {
-      throw std::runtime_error("unknown record: " + keyword);
+      Malformed(number, "unknown record '" + keyword + "'");
     }
   }
   return dataset;

@@ -11,10 +11,8 @@
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
-#include <set>
-#include <string>
+#include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "netbase/ipv4.h"
@@ -44,7 +42,7 @@ class ItdkDataset {
   void AddAlias(NodeId node, netbase::Ipv4Address address);
 
   /// Records an undirected link between two nodes (idempotent; self-links
-  /// are ignored).
+  /// are ignored). Throws std::out_of_range if either node is unknown.
   void AddLink(NodeId a, NodeId b);
   /// Removes a link if present; used when revelation disproves an inferred
   /// adjacency between tunnel endpoints.
@@ -54,15 +52,21 @@ class ItdkDataset {
   void SetAs(NodeId node, AsNumber asn);
 
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
-  [[nodiscard]] std::size_t link_count() const { return links_.size(); }
+  [[nodiscard]] std::size_t link_count() const { return link_count_; }
   [[nodiscard]] const ItdkNode& node(NodeId id) const { return nodes_.at(id); }
   [[nodiscard]] const std::vector<ItdkNode>& nodes() const { return nodes_; }
-  [[nodiscard]] const std::set<std::pair<NodeId, NodeId>>& links() const {
-    return links_;
-  }
 
-  [[nodiscard]] std::size_t Degree(NodeId node) const;
-  [[nodiscard]] const std::set<NodeId>& NeighborsOf(NodeId node) const;
+  [[nodiscard]] std::size_t Degree(NodeId node) const {
+    return NeighborsOf(node).size();
+  }
+  /// The node's neighbours in ascending id order (empty for an unknown
+  /// node). Target selection, the graph metrics and Write walk links in
+  /// this order, so report bytes depend on it. The span stays valid until
+  /// the next AddLink/RemoveLink that touches `node`.
+  [[nodiscard]] std::span<const NodeId> NeighborsOf(NodeId node) const {
+    if (node >= neighbors_.size()) return {};
+    return neighbors_[node];
+  }
 
   /// Degree PDF over all nodes (Fig. 1 / Fig. 10 material).
   [[nodiscard]] netbase::IntDistribution DegreeDistribution() const;
@@ -74,28 +78,25 @@ class ItdkDataset {
   [[nodiscard]] std::vector<NodeId> HighDegreeNodes(
       std::size_t threshold) const;
 
-  /// Graph density 2E / (V (V-1)) over the nodes of one AS restricted to
-  /// intra-AS links; Table 4's "Graph Density" columns restrict further to
-  /// candidate LER nodes, which callers do by passing the node set.
+  /// Graph density 2E / (V (V-1)) of the subgraph induced by `nodes`
+  /// (duplicates count once; fewer than two distinct ids give 0). Table 4's
+  /// "Graph Density" columns pass an AS's candidate LER nodes.
   [[nodiscard]] double Density(const std::vector<NodeId>& nodes) const;
 
   // --- serialization (simple line format, see itdk.cpp) -------------------
   void Write(std::ostream& os) const;
+  /// Parses what Write emits; throws std::runtime_error naming the line
+  /// number on any malformed record.
   static ItdkDataset Read(std::istream& is);
 
  private:
-  static std::uint64_t LinkKey(NodeId a, NodeId b) {
-    return (std::uint64_t{a} << 32) | b;
-  }
-
   std::vector<ItdkNode> nodes_;
   std::unordered_map<netbase::Ipv4Address, NodeId> address_to_node_;
-  std::set<std::pair<NodeId, NodeId>> links_;
-  /// O(1) mirror of links_ (normalized min<<32|max keys): campaign
-  /// reduces call AddLink once per hop pair and almost always hit a
-  /// duplicate, so the ordered-set lookup dominated dataset building.
-  std::unordered_set<std::uint64_t> link_index_;
-  std::unordered_map<NodeId, std::set<NodeId>> adjacency_;
+  /// The only link store: neighbors_[n] lists n's neighbours, sorted
+  /// ascending without duplicates, so each link appears in both lists.
+  /// Indexed like nodes_.
+  std::vector<std::vector<NodeId>> neighbors_;
+  std::size_t link_count_ = 0;
 };
 
 /// Builds the ground-truth router-level dataset straight from a Topology —

@@ -71,17 +71,83 @@ TEST(Tracefile, RoundTripsTimeoutsAndLabels) {
 }
 
 TEST(Tracefile, RejectsMalformedInput) {
-  const auto reject = [](const std::string& text) {
-    std::stringstream ss(text);
-    EXPECT_THROW(ReadTraces(ss), std::runtime_error) << text;
+  const std::string open = "# header\nT 5.0.0.1 5.0.0.2 0 1 0\n";
+  const struct {
+    std::string text;
+    std::string error;
+  } kCases[] = {
+      {"H 1 5.0.0.1 x 255 0.1\n", "line 1: H record outside trace"},
+      {"T 5.0.0.1 5.0.0.2 0 1 0\nT 5.0.0.1 5.0.0.2 0 1 0\n",
+       "line 2: nested trace record"},
+      {open, "line 2: unterminated trace record"},
+      {"T bogus 5.0.0.2 0 1 0\n.\n", "line 1: bad address 'bogus'"},
+      {"T 5.0.0.1 5.0.0.2 0 1\n.\n", "line 1: T record needs 5 fields"},
+      {"T 5.0.0.1 5.0.0.2 0 1 0 9\n.\n", "line 1: T record needs 5 fields"},
+      {"T 5.0.0.1 5.0.0.2 70000 1 0\n.\n", "line 1: bad flow id '70000'"},
+      {"T 5.0.0.1 5.0.0.2 0 2 0\n.\n", "line 1: bad reached flag '2'"},
+      {"T 5.0.0.1 5.0.0.2 0 1 1x\n.\n",
+       "line 1: bad unreachable flag '1x'"},
+      {open + "H 1 5.0.0.3 z 255 0.1\n.\n", "line 3: bad reply kind 'z'"},
+      {open + "H 1 5.0.0.3 xx 255 0.1\n.\n", "line 3: bad reply kind 'xx'"},
+      {"Z nonsense\n", "line 1: unknown record tag 'Z'"},
+      {open + "H 1 5.0.0.3 x 255 0.1 Lbroken\n.\n",
+       "line 3: bad label field 'Lbroken'"},
+      {open + "H 1 5.0.0.3 x 255 0.1 16:1\n.\n",
+       "line 3: bad label field '16:1'"},
+      {open + "H 1 5.0.0.3 x 255 0.1 Labc:1\n.\n",
+       "line 3: bad label 'abc'"},
+      {open + "H 1 5.0.0.3 x 255 0.1 L1048576:1\n.\n",
+       "line 3: bad label '1048576'"},
+      {open + "H 1 5.0.0.3 x 255 0.1 L99999999:300\n.\n",
+       "line 3: bad label '99999999'"},
+      {open + "H 1 5.0.0.3 x 255 0.1 L16:256\n.\n",
+       "line 3: bad LSE TTL '256'"},
+      {open + "H 1 5.0.0.3 x 255 0.1 L16:-1\n.\n",
+       "line 3: bad LSE TTL '-1'"},
+      {open + "H -7 5.0.0.3 x 255 0.1\n.\n", "line 3: bad probe TTL '-7'"},
+      {open + "H 0 *\n.\n", "line 3: bad probe TTL '0'"},
+      {open + "H 256 *\n.\n", "line 3: bad probe TTL '256'"},
+      {open + "H 1x *\n.\n", "line 3: bad probe TTL '1x'"},
+      {open + "H 99999999999 *\n.\n", "line 3: bad probe TTL '99999999999'"},
+      {open + "H 1 5.0.0.3 x 9999 0.1\n.\n", "line 3: bad reply TTL '9999'"},
+      {open + "H 1 5.0.0.3 x -1 0.1\n.\n", "line 3: bad reply TTL '-1'"},
+      {open + "H 1 5.0.0.3 x 255 abc\n.\n", "line 3: bad RTT 'abc'"},
+      {open + "H 1 5.0.0.3 x 255 -0.5\n.\n", "line 3: bad RTT '-0.5'"},
+      {open + "H 1 5.0.0.3 x 255 nan\n.\n", "line 3: bad RTT 'nan'"},
+      {open + "H 1 5.0.0.3 x 255\n.\n", "line 3: malformed H record"},
+      {open + "H 1 * x\n.\n", "line 3: malformed H record"},
+      {open + "H 1\n.\n", "line 3: malformed H record"},
+      {open + ". x\n", "line 3: trailing fields after '.'"},
+      {".\n", "line 1: stray trace terminator"},
   };
-  reject("H 1 5.0.0.1 x 255 0.1\n");             // hop outside a trace
-  reject("T 5.0.0.1 5.0.0.2 0 1 0\nT 5.0.0.1 5.0.0.2 0 1 0\n");  // nested
-  reject("T 5.0.0.1 5.0.0.2 0 1 0\n");            // unterminated
-  reject("T bogus 5.0.0.2 0 1 0\n.\n");           // bad address
-  reject("T 5.0.0.1 5.0.0.2 0 1 0\nH 1 5.0.0.3 z 255 0.1\n.\n");  // bad kind
-  reject("Z nonsense\n");                          // unknown tag
-  reject("T 5.0.0.1 5.0.0.2 0 1 0\nH 1 5.0.0.3 x 255 0.1 Lbroken\n.\n");
+  for (const auto& c : kCases) {
+    std::stringstream ss(c.text);
+    try {
+      (void)ReadTraces(ss);
+      ADD_FAILURE() << "accepted: " << c.text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "tracefile " + c.error) << c.text;
+    }
+  }
+}
+
+TEST(Tracefile, AcceptsFieldsAtTheEdgesOfTheirRanges) {
+  std::stringstream ss(
+      "T 5.0.0.1 5.0.0.2 65535 0 1\n"
+      "H 255 5.0.0.3 u 0 0.000 L1048575:255 L0:0\n"
+      "H 1 *\n"
+      ".\n");
+  const auto traces = ReadTraces(ss);
+  ASSERT_EQ(traces.size(), 1u);
+  EXPECT_EQ(traces[0].flow_id, 65535);
+  EXPECT_TRUE(traces[0].unreachable);
+  const probe::Hop& hop = traces[0].hops[0];
+  EXPECT_EQ(hop.probe_ttl, 255);
+  EXPECT_EQ(hop.reply_ip_ttl, 0);
+  ASSERT_EQ(hop.labels.size(), 2u);
+  EXPECT_EQ(hop.labels[0].label, netbase::kMaxLabel);
+  EXPECT_EQ(hop.labels[0].ttl, 255);
+  EXPECT_EQ(traces[0].hops[1].probe_ttl, 1);
 }
 
 TEST(Tracefile, IgnoresCommentsAndBlankLines) {

@@ -8,10 +8,14 @@
 //
 // --jobs N spreads campaign probing over N worker threads (default: the
 // hardware concurrency); the results are identical for every N.
-#include <cstdlib>
+//
+// Exit status: 0 on success, 1 on a failed run (unreadable or malformed
+// input), 2 on a bad command line (usage printed).
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/campaign_report.h"
@@ -25,6 +29,7 @@
 #include "gen/internet.h"
 #include "gen/router_config.h"
 #include "io/tracefile.h"
+#include "netbase/parse.h"
 #include "probe/prober.h"
 
 namespace {
@@ -46,21 +51,42 @@ int Usage() {
   return 2;
 }
 
-/// Strips `--jobs N` / `--jobs=N` from `args` and returns N (0 = default).
-std::size_t ExtractJobs(std::vector<std::string>& args) {
+/// Parses a whole-string decimal number; complains and returns nullopt on
+/// anything else (garbage, trailing characters, overflow).
+template <typename T>
+std::optional<T> ParseArg(std::string_view what, std::string_view text) {
+  const auto value = netbase::ParseNumber<T>(text);
+  if (!value) std::cerr << "wormhole: bad " << what << " '" << text << "'\n";
+  return value;
+}
+
+/// Strips `--jobs N` / `--jobs=N` from `args` and returns N (0 = default);
+/// nullopt if a value is missing or not a number.
+std::optional<std::size_t> ExtractJobs(std::vector<std::string>& args) {
   std::size_t jobs = 0;
   std::vector<std::string> rest;
   for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--jobs" && i + 1 < args.size()) {
-      jobs = std::strtoull(args[++i].c_str(), nullptr, 10);
-    } else if (args[i].rfind("--jobs=", 0) == 0) {
-      jobs = std::strtoull(args[i].c_str() + 7, nullptr, 10);
+    std::string_view value;
+    if (args[i] == "--jobs") {
+      value = i + 1 < args.size() ? std::string_view(args[++i]) : "";
+    } else if (args[i].starts_with("--jobs=")) {
+      value = std::string_view(args[i]).substr(7);
     } else {
       rest.push_back(args[i]);
+      continue;
     }
+    const auto parsed = ParseArg<std::size_t>("--jobs", value);
+    if (!parsed) return std::nullopt;
+    jobs = *parsed;
   }
   args = std::move(rest);
   return jobs;
+}
+
+/// The seed in args[0], 29 when absent.
+std::optional<std::uint64_t> SeedArg(const std::vector<std::string>& args) {
+  if (args.empty()) return 29;
+  return ParseArg<std::uint64_t>("seed", args[0]);
 }
 
 std::optional<gen::Gns3Scenario> ParseScenario(const std::string& name) {
@@ -215,31 +241,35 @@ int Replay(const std::string& path) {
   return 0;
 }
 
+int Dispatch(const std::string& command, std::vector<std::string> args) {
+  const auto jobs = ExtractJobs(args);
+  if (!jobs) return Usage();
+  if (command == "emulate" && !args.empty()) return Emulate(args[0]);
+  if (command == "configs" && !args.empty()) return Configs(args[0]);
+  if (command == "replay" && !args.empty()) return Replay(args[0]);
+  if (command != "campaign" && command != "report" && command != "crossval") {
+    return Usage();
+  }
+  const auto seed = SeedArg(args);
+  if (!seed) return Usage();
+  if (command == "campaign") {
+    return RunCampaign(*seed, args.size() >= 2 ? args[1] : "", *jobs);
+  }
+  if (command == "report") {
+    return RunReport(*seed, args.size() >= 2 ? args[1] : "wormhole-report",
+                     *jobs);
+  }
+  return RunCrossval(*seed);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  const std::string command = argv[1];
-  std::vector<std::string> args(argv + 2, argv + argc);
-  const std::size_t jobs = ExtractJobs(args);
-  if (command == "emulate" && !args.empty()) return Emulate(args[0]);
-  if (command == "configs" && !args.empty()) return Configs(args[0]);
-  if (command == "campaign") {
-    const std::uint64_t seed =
-        !args.empty() ? std::strtoull(args[0].c_str(), nullptr, 10) : 29;
-    return RunCampaign(seed, args.size() >= 2 ? args[1] : "", jobs);
+  try {
+    return Dispatch(argv[1], std::vector<std::string>(argv + 2, argv + argc));
+  } catch (const std::exception& e) {
+    std::cerr << "wormhole: " << e.what() << "\n";
+    return 1;
   }
-  if (command == "report") {
-    const std::uint64_t seed =
-        !args.empty() ? std::strtoull(args[0].c_str(), nullptr, 10) : 29;
-    return RunReport(seed, args.size() >= 2 ? args[1] : "wormhole-report",
-                     jobs);
-  }
-  if (command == "crossval") {
-    const std::uint64_t seed =
-        !args.empty() ? std::strtoull(args[0].c_str(), nullptr, 10) : 29;
-    return RunCrossval(seed);
-  }
-  if (command == "replay" && !args.empty()) return Replay(args[0]);
-  return Usage();
 }
