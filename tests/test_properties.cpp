@@ -4,6 +4,8 @@
 //  * traceroute/SPF consistency on random topologies.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "gen/gns3.h"
 #include "gen/internet.h"
 #include "probe/prober.h"
@@ -173,15 +175,21 @@ INSTANTIATE_TEST_SUITE_P(TunnelLengths, RtlaSweepTest,
 
 // --- BRPR/DPR vs ground truth over tunnel lengths and policies --------------
 
+// gtest names each case after the parameter's raw bytes, so the bytes that
+// would otherwise be padding are spelled out and always zero; left as
+// padding they held stack garbage and the test names changed run to run.
 struct RevealCase {
   int lsr_count;
   mpls::LdpPolicy ldp;
+  std::uint8_t zero[3] = {};
 };
+static_assert(sizeof(RevealCase) == 8, "RevealCase must have no padding");
 
 class RevealSweepTest : public ::testing::TestWithParam<RevealCase> {};
 
 TEST_P(RevealSweepTest, RevealsExactlyTheHiddenChain) {
-  const auto [lsr_count, ldp] = GetParam();
+  const int lsr_count = GetParam().lsr_count;
+  const mpls::LdpPolicy ldp = GetParam().ldp;
   topo::Topology topology;
   topology.AddAs(1, "src");
   topology.AddAs(2, "mpls");
