@@ -250,6 +250,20 @@ void BM_TracerouteThroughTunnel(benchmark::State& state) {
 }
 BENCHMARK(BM_TracerouteThroughTunnel);
 
+/// The prober's reply-memo activity: the share of replies replayed
+/// instead of walked, and the hops the replays saved per probe.
+void SetMemoCounters(benchmark::State& state, const probe::Prober& prober) {
+  const sim::ReplyMemo::Counts& memo = prober.reply_memo().counts();
+  const auto replies = static_cast<double>(memo.hits + memo.misses);
+  state.counters["memo_hit_frac"] =
+      replies > 0 ? static_cast<double>(memo.hits) / replies : 0.0;
+  state.counters["replayed_hops/probe"] =
+      prober.probes_sent() > 0
+          ? static_cast<double>(memo.replayed_hops) /
+                static_cast<double>(prober.probes_sent())
+          : 0.0;
+}
+
 void BM_SequentialTraceroute(benchmark::State& state) {
   // The one-probe-at-a-time tracer on the same worlds and target rotation
   // as BM_BatchedTraceroute — the apples-to-apples denominator for the
@@ -270,6 +284,7 @@ void BM_SequentialTraceroute(benchmark::State& state) {
   state.counters["probes/s"] = benchmark::Counter(
       static_cast<double>(prober.probes_sent()),
       benchmark::Counter::kIsRate);
+  SetMemoCounters(state, prober);
 }
 BENCHMARK(BM_SequentialTraceroute)
     ->ArgNames({"size"})
@@ -299,6 +314,7 @@ void BM_BatchedTraceroute(benchmark::State& state) {
   state.counters["probes/s"] = benchmark::Counter(
       static_cast<double>(prober.probes_sent()),
       benchmark::Counter::kIsRate);
+  SetMemoCounters(state, prober);
 }
 BENCHMARK(BM_BatchedTraceroute)
     ->ArgNames({"size", "window"})

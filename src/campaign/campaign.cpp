@@ -153,7 +153,8 @@ std::vector<CompactTraceLog> Campaign::TraceShardsStreaming(
   // probe-id stream depends only on its own target order, so carving the
   // walk into fixed-size shards changes when memory is freed and nothing
   // else. `scratch` holds one shard of full traces; once the shard is
-  // compacted the vector is reused, so the per-VP high-water mark is
+  // compacted its traces are overwritten in place by the next shard (hop
+  // storage included), so the per-VP high-water mark is
   // stream_shard_size traces instead of the whole target list.
   // A probing pass must never span a reconvergence: reconvergence is the
   // engine's exclusive write phase, and a mid-shard epoch bump would mean
@@ -166,14 +167,13 @@ std::vector<CompactTraceLog> Campaign::TraceShardsStreaming(
                                         options_.stream_shard_size)) {
       WORMHOLE_ASSERT(engine_->convergence_epoch() == epoch,
                       "reconvergence during a probing shard");
-      scratch.clear();
-      scratch.reserve(shard.size());
-      for (const netbase::Ipv4Address target : shard) {
-        scratch.push_back(
-            probers_[vp].Traceroute(target, options_.trace_options));
+      if (scratch.size() < shard.size()) scratch.resize(shard.size());
+      for (std::size_t k = 0; k < shard.size(); ++k) {
+        probers_[vp].Traceroute(shard[k], options_.trace_options,
+                                scratch[k]);
       }
-      for (const probe::TraceResult& trace : scratch) {
-        logs[vp].Append(trace);
+      for (std::size_t k = 0; k < shard.size(); ++k) {
+        logs[vp].Append(scratch[k]);
       }
     }
   });
@@ -193,9 +193,7 @@ CampaignResult Campaign::RunDelta(
 }
 
 void Campaign::ResetProbers() {
-  for (probe::Prober& prober : probers_) {
-    prober = probe::Prober(*engine_, prober.vantage_point());
-  }
+  for (probe::Prober& prober : probers_) prober.Restart();
 }
 
 std::vector<CompactTraceLog> Campaign::TraceShardsDelta(
@@ -211,6 +209,7 @@ std::vector<CompactTraceLog> Campaign::TraceShardsDelta(
   std::vector<CompactTraceLog> logs(probers_.size());
   exec::ParallelFor(pool_, probers_.size(), [&](std::size_t vp) {
     probe::Prober& prober = probers_[vp];
+    probe::TraceResult trace;
     for (const auto shard : FixedShards(shards[vp],
                                         options_.stream_shard_size)) {
       WORMHOLE_ASSERT(engine_->convergence_epoch() == epoch,
@@ -227,8 +226,7 @@ std::vector<CompactTraceLog> Campaign::TraceShardsDelta(
           continue;
         }
         const std::uint64_t before = prober.probes_sent();
-        const probe::TraceResult trace =
-            prober.Traceroute(target, options_.trace_options);
+        prober.Traceroute(target, options_.trace_options, trace);
         cache.Record(phase, vp, trace, epoch, before,
                      prober.probes_sent() - before);
         logs[vp].Append(trace);

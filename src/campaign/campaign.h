@@ -197,8 +197,9 @@ class Campaign {
       const std::vector<netbase::Ipv4Address>& discovery_targets,
       TraceCache* cache);
 
-  /// Rebuilds every prober in place so probe ids restart at 1 — the
-  /// precondition for a RunDelta to be id-for-id a cold campaign.
+  /// Restarts every prober so probe ids restart at 1 — the precondition
+  /// for a RunDelta to be id-for-id a cold campaign. Buffers and reply
+  /// memos are kept (Prober::Restart).
   void ResetProbers();
 
   /// Returns the candidate endpoint pair extracted from the trace, if any.

@@ -17,11 +17,23 @@ Prober::Prober(const sim::Engine& engine, netbase::Ipv4Address vantage_point)
 
 TraceResult Prober::Traceroute(netbase::Ipv4Address target,
                                const TraceOptions& options) {
-  if (options.batched) return TracerouteBatched(target, options);
   TraceResult result;
+  Traceroute(target, options, result);
+  return result;
+}
+
+void Prober::Traceroute(netbase::Ipv4Address target,
+                        const TraceOptions& options, TraceResult& result) {
   result.source = source_;
   result.target = target;
   result.flow_id = options.flow_id;
+  result.hops.clear();
+  result.reached = false;
+  result.unreachable = false;
+  if (options.batched) {
+    TracerouteBatched(target, options, result);
+    return;
+  }
 
   int consecutive_timeouts = 0;
   for (int ttl = options.first_ttl; ttl <= options.max_ttl; ++ttl) {
@@ -36,7 +48,7 @@ TraceResult Prober::Traceroute(netbase::Ipv4Address target,
       probe.flow_id = options.flow_id;
       probe.probe_id = next_probe_id_++;
       ++probes_sent_;
-      outcome = engine_->Send(std::move(probe));
+      outcome = engine_->Send(std::move(probe), &reply_memo_);
       if (outcome.received) break;
     }
 
@@ -66,7 +78,6 @@ TraceResult Prober::Traceroute(netbase::Ipv4Address target,
     }
     if (consecutive_timeouts >= options.gap_limit) break;
   }
-  return result;
 }
 
 // Speculative batched tracer. The sequential tracer above is a state
@@ -80,13 +91,9 @@ TraceResult Prober::Traceroute(netbase::Ipv4Address target,
 // stats and probes_sent() accounting are dropped and the ids are reused
 // by the next window. The observable stream — probe ids, outcomes, hop
 // records, engine stats — is byte-identical to the sequential tracer.
-TraceResult Prober::TracerouteBatched(netbase::Ipv4Address target,
-                                      const TraceOptions& options) {
-  TraceResult result;
-  result.source = source_;
-  result.target = target;
-  result.flow_id = options.flow_id;
-
+void Prober::TracerouteBatched(netbase::Ipv4Address target,
+                               const TraceOptions& options,
+                               TraceResult& result) {
   const int attempts = std::max(1, options.attempts);
   int ttl = options.first_ttl;
   int attempt = 0;
@@ -126,7 +133,8 @@ TraceResult Prober::TracerouteBatched(netbase::Ipv4Address target,
       probe.probe_id = next_probe_id_ + static_cast<std::uint32_t>(k);
       batch_probes_.push_back(probe);
     }
-    engine_->SendBatch(batch_probes_, batch_, {.commit_stats = false});
+    engine_->SendBatch(batch_probes_, batch_,
+                       {.commit_stats = false, .reply_memo = &reply_memo_});
 
     // Replay: consume outcomes in slot order until a misprediction or a
     // stop, accumulating only consumed slots' stats for one commit.
@@ -189,7 +197,6 @@ TraceResult Prober::TracerouteBatched(netbase::Ipv4Address target,
     }
   }
   window_hint_ = static_cast<int>(result.hops.size());
-  return result;
 }
 
 PingResult Prober::Ping(netbase::Ipv4Address target, std::uint16_t flow_id) {
@@ -202,7 +209,8 @@ PingResult Prober::Ping(netbase::Ipv4Address target, std::uint16_t flow_id) {
   probe.probe_id = next_probe_id_++;
   ++probes_sent_;
 
-  const sim::Engine::Outcome outcome = engine_->Send(std::move(probe));
+  const sim::Engine::Outcome outcome =
+      engine_->Send(std::move(probe), &reply_memo_);
   PingResult result;
   result.target = target;
   if (outcome.received &&

@@ -7,6 +7,7 @@
 
 #include "probe/trace.h"
 #include "sim/engine.h"
+#include "sim/reply_memo.h"
 
 namespace wormhole::probe {
 
@@ -51,6 +52,10 @@ class Prober {
   /// Paris traceroute with ICMP echo-request probes.
   TraceResult Traceroute(netbase::Ipv4Address target,
                          const TraceOptions& options = {});
+  /// The same trace written into `result`, reusing its hop storage: a
+  /// warm prober tracing into a recycled result allocates nothing.
+  void Traceroute(netbase::Ipv4Address target, const TraceOptions& options,
+                  TraceResult& result);
 
   /// One echo-request with a large TTL; returns the reply's remaining TTL
   /// (the second half of the fingerprint signature).
@@ -58,6 +63,24 @@ class Prober {
 
   /// Number of probe packets issued so far (campaign accounting).
   [[nodiscard]] std::uint64_t probes_sent() const { return probes_sent_; }
+
+  /// This vantage point's memo of reply walks (sim/reply_memo.h): every
+  /// probe the prober sends drains its reply through it.
+  [[nodiscard]] const sim::ReplyMemo& reply_memo() const {
+    return reply_memo_;
+  }
+
+  /// Back to a fresh prober's observable state: probe ids restart at 1,
+  /// the sent counter at 0, and the window hint is dropped. The batch
+  /// buffers and the reply memo keep their storage; the memo still holds
+  /// only walks of the current epoch (it empties itself when the engine
+  /// reconverges), so what a restarted prober observes is id-for-id what
+  /// a new one would.
+  void Restart() {
+    next_probe_id_ = 1;
+    probes_sent_ = 0;
+    window_hint_ = 0;
+  }
 
   /// Advances the probe-id sequence and the sent counter by `n` without
   /// sending anything, replaying the id consumption of a trace served
@@ -71,8 +94,8 @@ class Prober {
   }
 
  private:
-  TraceResult TracerouteBatched(netbase::Ipv4Address target,
-                                const TraceOptions& options);
+  void TracerouteBatched(netbase::Ipv4Address target,
+                         const TraceOptions& options, TraceResult& result);
 
   const sim::Engine* engine_;
   netbase::Ipv4Address source_;
@@ -82,6 +105,7 @@ class Prober {
   /// batches allocate nothing.
   std::vector<netbase::Packet> batch_probes_;
   sim::Engine::BatchResult batch_;
+  sim::ReplyMemo reply_memo_;
   /// TTL count of the last completed trace — seeds the adaptive batch
   /// window (batch_window == 0). Purely a speed hint; see TraceOptions.
   int window_hint_ = 0;

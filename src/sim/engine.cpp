@@ -7,6 +7,7 @@
 
 #include "exec/thread_pool.h"
 #include "netbase/contracts.h"
+#include "sim/reply_memo.h"
 #include "sim/vendor.h"
 
 namespace wormhole::sim {
@@ -52,6 +53,34 @@ std::uint64_t FlowHash(const Packet& p) {
   mix(p.dst.value());
   mix(p.flow_id);
   return h;
+}
+
+// Deterministic per (probe, link) jitter in [-f, +f] of the base delay.
+// Shared by Forward, the batched run fast path and the reply-memo replay
+// so all three compute bit-identical elapsed times.
+double JitteredDelay(double delay, double fraction, std::uint32_t probe_id,
+                     topo::LinkId link) {
+  if (fraction > 0.0) {
+    std::uint64_t h = (std::uint64_t{probe_id} << 32) ^
+                      (std::uint64_t{link} * 0x9E3779B97F4A7C15ull);
+    h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
+    h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
+    h ^= h >> 31;
+    const double unit =
+        static_cast<double>(h >> 11) / static_cast<double>(1ull << 53);
+    delay *= 1.0 + fraction * (2.0 * unit - 1.0);
+  }
+  return delay;
+}
+
+EngineStats Minus(const EngineStats& after, const EngineStats& before) {
+  EngineStats d;
+  d.packets_injected = after.packets_injected - before.packets_injected;
+  d.hops_processed = after.hops_processed - before.hops_processed;
+  d.icmp_generated = after.icmp_generated - before.icmp_generated;
+  d.labels_pushed = after.labels_pushed - before.labels_pushed;
+  d.labels_popped = after.labels_popped - before.labels_popped;
+  return d;
 }
 
 }  // namespace
@@ -287,10 +316,13 @@ EngineStats Engine::stats() const {
   return total;
 }
 
-Engine::Outcome Engine::Send(netbase::Packet probe) const {
+Engine::Outcome Engine::Send(netbase::Packet probe, ReplyMemo* memo) const {
   const topo::Host* origin = topology_->FindHost(probe.src);
   if (origin == nullptr) {
     throw std::invalid_argument("Send: probe.src is not an attached host");
+  }
+  if (memo != nullptr) {
+    memo->Revalidate(convergence_epoch_, topology_->version());
   }
   EngineStats local;
   ++local.packets_injected;
@@ -303,34 +335,110 @@ Engine::Outcome Engine::Send(netbase::Packet probe) const {
   transit.router = origin->gateway;
   transit.in_interface = origin->stub_interface;
 
-  const netbase::Ipv4Address origin_address = origin->address;
-  Outcome final;
-  while (true) {
-    if (probe.hops_traversed > options_.max_hops) {
-      final = Outcome{.received = false, .loss = LossReason::kTtlLoop};
-      break;
-    }
-    ++local.hops_processed;
-
-    // Delivery to the origin host happens at its gateway, after the
-    // gateway's normal forwarding decrement (handled inside ProcessIp).
-    // Each step advances `transit` in place.
-    StepResult step = ProcessAt(transit, local);
-    if (step.outcome) {
-      // Only packets addressed to the origin terminate the simulation.
-      final = step.outcome->reply.dst == origin_address
-                  ? std::move(*step.outcome)
-                  : Outcome{.received = false, .loss = LossReason::kDropped};
-      break;
-    }
-    if (step.loss != LossReason::kNone) {
-      final = Outcome{.received = false, .loss = step.loss};
-      break;
-    }
-  }
-
+  // Delivery to the origin host happens at its gateway, after the
+  // gateway's normal forwarding decrement (handled inside ProcessIp).
+  // Each step advances `transit` in place until the probe ends or turns
+  // into a reply; the reply then drains home.
+  StepResult step;
+  while (!step.ended() && !probe.is_reply()) step = ProcessAt(transit, local);
+  Outcome final = step.ended()
+                      ? Settle(std::move(step), origin->address)
+                      : DrainReply(transit, origin->address, local, memo);
   CommitStats(local);
   return final;
+}
+
+Engine::Outcome Engine::Settle(StepResult step,
+                               netbase::Ipv4Address origin) {
+  if (!step.outcome) return Outcome{.received = false, .loss = step.loss};
+  // Only packets addressed to the origin terminate the simulation.
+  if (step.outcome->reply.dst != origin) {
+    return Outcome{.received = false, .loss = LossReason::kDropped};
+  }
+  return std::move(*step.outcome);
+}
+
+Engine::Outcome Engine::DrainReply(Transit& t, netbase::Ipv4Address origin,
+                                   EngineStats& stats,
+                                   ReplyMemo* memo) const {
+  Packet& p = *t.packet;
+  ReplyMemo::Key key;
+  std::uint64_t hash = 0;
+  ReplyMemo* recorder = nullptr;
+  if (memo != nullptr) {
+    key.router = t.router;
+    key.in_interface = t.in_interface;
+    key.src = p.src;
+    key.dst = p.dst;
+    key.ip_ttl = p.ip_ttl;
+    key.flow_id = p.flow_id;
+    key.kind = p.kind;
+    key.flags = static_cast<std::uint8_t>((t.locally_originated ? 1 : 0) |
+                                          (t.skip_ip_decrement ? 2 : 0));
+    hash = ReplyMemo::Hash(key, p.labels);
+    const ReplyMemo::Entry* e = memo->Find(hash, key, p.labels);
+    // The recorded walk passed the max_hops guard at every hop; from this
+    // start it does so only while it ends within the budget.
+    if (e != nullptr &&
+        std::int64_t{p.hops_traversed} + e->trail_size <= options_.max_hops) {
+      ++memo->counts_.hits;
+      memo->counts_.replayed_hops += e->hops_processed;
+      stats.hops_processed += e->hops_processed;
+      stats.icmp_generated += e->icmp_generated;
+      stats.labels_pushed += e->labels_pushed;
+      stats.labels_popped += e->labels_popped;
+      StepResult replay{.loss = e->loss};
+      if (e->loss == LossReason::kNone) {
+        // Forward's additions, in walk order: a bit-identical elapsed
+        // time.
+        const double fraction = options_.delay_jitter_fraction;
+        for (std::uint32_t i = e->trail_begin;
+             i < e->trail_begin + e->trail_size; ++i) {
+          const topo::LinkId link = memo->trail_[i];
+          p.elapsed_ms += JitteredDelay(topology_->link(link).delay_ms,
+                                        fraction, p.probe_id, link);
+        }
+        p.hops_traversed += static_cast<int>(e->trail_size);
+        p.ip_ttl = e->final_ip_ttl;
+        const netbase::LabelStackEntry* final_labels =
+            memo->labels_.data() + e->labels_begin + e->key_labels;
+        p.labels.assign(final_labels, final_labels + e->final_labels);
+        const double rtt_ms = p.elapsed_ms + options_.host_stub_delay_ms;
+        replay.outcome = Outcome{
+            .received = true, .reply = std::move(p), .rtt_ms = rtt_ms};
+      }
+      return Settle(std::move(replay), origin);
+    }
+    ++memo->counts_.misses;
+    // A key already recorded (the budget sent it here) is walked only.
+    if (e == nullptr && memo->BeginRecord(p.labels)) recorder = memo;
+  }
+
+  const EngineStats before = stats;
+  while (true) {
+    const int hops_before = p.hops_traversed;
+    StepResult step = ProcessAt(t, stats);
+    if (step.ended()) {
+      if (recorder != nullptr) {
+        // A walk cut by the loop guard depends on its start hop count,
+        // which the key leaves out: never recorded.
+        if (step.loss == LossReason::kTtlLoop) {
+          recorder->AbortRecord();
+        } else {
+          recorder->CommitRecord(hash, key, step.loss,
+                                 step.outcome ? step.outcome->reply : p,
+                                 Minus(stats, before));
+        }
+      }
+      return Settle(std::move(step), origin);
+    }
+    if (recorder != nullptr) {
+      WORMHOLE_DCHECK(p.hops_traversed == hops_before + 1,
+                      "a reply step that does not end the walk forwards "
+                      "exactly once");
+      recorder->RecordStep(topology_->interface(t.in_interface).link);
+    }
+  }
 }
 
 void Engine::CommitStats(const EngineStats& stats) const {
@@ -348,6 +456,10 @@ void Engine::CommitStats(const EngineStats& stats) const {
 }
 
 Engine::StepResult Engine::ProcessAt(Transit& t, EngineStats& stats) const {
+  if (t.packet->hops_traversed > options_.max_hops) {
+    return StepResult{.loss = LossReason::kTtlLoop};
+  }
+  ++stats.hops_processed;
   if (t.packet->has_labels()) return ProcessMpls(t, stats);
   return ProcessIp(t, stats);
 }
@@ -666,28 +778,6 @@ netbase::Packet Engine::MakeEchoReply(const Transit& t,
   return reply;
 }
 
-namespace {
-
-// Deterministic per (probe, link) jitter in [-f, +f] of the base delay.
-// Shared by Forward and the batched run fast path so both compute
-// bit-identical elapsed times.
-double JitteredDelay(double delay, double fraction, std::uint32_t probe_id,
-                     topo::LinkId link) {
-  if (fraction > 0.0) {
-    std::uint64_t h = (std::uint64_t{probe_id} << 32) ^
-                      (std::uint64_t{link} * 0x9E3779B97F4A7C15ull);
-    h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
-    h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
-    h ^= h >> 31;
-    const double unit =
-        static_cast<double>(h >> 11) / static_cast<double>(1ull << 53);
-    delay *= 1.0 + fraction * (2.0 * unit - 1.0);
-  }
-  return delay;
-}
-
-}  // namespace
-
 void Engine::Forward(Transit& t, const routing::NextHop& hop) const {
   WORMHOLE_DCHECK(hop.link != topo::kNoLink && hop.neighbor != topo::kNoRouter,
                   "Forward over an unresolved next hop");
@@ -867,7 +957,8 @@ void Engine::WriteBackBatchRow(BatchResult& b, std::size_t pos) const {
   }
 }
 
-void Engine::StepBatchRow(BatchResult& b, std::size_t pos) const {
+void Engine::StepBatchRow(BatchResult& b, std::size_t pos,
+                          ReplyMemo* memo) const {
   const std::uint32_t s = b.slot[pos];
   EngineStats& pstats = b.per_slot_stats[s];
   // Restore packet coherence: shared runs may have advanced this row's
@@ -880,36 +971,23 @@ void Engine::StepBatchRow(BatchResult& b, std::size_t pos) const {
   t.locally_originated = (b.flags[pos] & kFlagLocallyOriginated) != 0;
   t.skip_ip_decrement = (b.flags[pos] & kFlagSkipIpDecrement) != 0;
 
-  // Iterations of Send's hop loop, verbatim. A request steps exactly once
+  // Send's hop loop, split the same way: a request steps exactly once
   // and returns to the round scheduler (it may join a shared run next
-  // round); a reply drains to completion here in Send's own tight loop —
-  // replies carry a unique src, so no other row can ever share their
-  // forwarding key, and keeping them in the round loop would only pay the
-  // regroup machinery once per hop for no batching gain.
-  for (;;) {
-    if (t.packet->hops_traversed > options_.max_hops) {
-      b.outcomes[s] = Outcome{.received = false, .loss = LossReason::kTtlLoop};
-      b.router[pos] = topo::kNoRouter;
+  // round); a reply drains to completion here — replies carry a unique
+  // src, so no other row can ever share their forwarding key, and
+  // keeping them in the round loop would only pay the regroup machinery
+  // once per hop for no batching gain.
+  StepResult step;
+  if (!t.packet->is_reply()) {
+    step = ProcessAt(t, pstats);
+    if (!step.ended() && !t.packet->is_reply()) {
+      RefreshBatchRow(b, pos, t);
       return;
     }
-    ++pstats.hops_processed;
-    StepResult step = ProcessAt(t, pstats);
-    if (step.outcome) {
-      b.outcomes[s] =
-          step.outcome->reply.dst == b.origin[s]
-              ? std::move(*step.outcome)
-              : Outcome{.received = false, .loss = LossReason::kDropped};
-      b.router[pos] = topo::kNoRouter;
-      return;
-    }
-    if (step.loss != LossReason::kNone) {
-      b.outcomes[s] = Outcome{.received = false, .loss = step.loss};
-      b.router[pos] = topo::kNoRouter;
-      return;
-    }
-    if (!t.packet->is_reply()) break;
   }
-  RefreshBatchRow(b, pos, t);
+  b.outcomes[s] = step.ended() ? Settle(std::move(step), b.origin[s])
+                               : DrainReply(t, b.origin[s], pstats, memo);
+  b.router[pos] = topo::kNoRouter;
 }
 
 std::size_t Engine::GroupLiveByRouter(BatchResult& b,
@@ -1229,6 +1307,10 @@ bool Engine::TryStepRunShared(BatchResult& b, std::size_t begin,
 void Engine::SendBatch(std::span<netbase::Packet> probes, BatchResult& b,
                        SendBatchOptions batch_options) const {
   const std::size_t n = probes.size();
+  ReplyMemo* memo = batch_options.reply_memo;
+  if (memo != nullptr) {
+    memo->Revalidate(convergence_epoch_, topology_->version());
+  }
   b.outcomes.clear();
   b.outcomes.resize(n);
   b.per_slot_stats.clear();
@@ -1348,7 +1430,7 @@ void Engine::SendBatch(std::span<netbase::Packet> probes, BatchResult& b,
         pos = run_end;
         continue;
       }
-      StepBatchRow(b, pos);
+      StepBatchRow(b, pos, memo);
       ++pos;
     }
   }

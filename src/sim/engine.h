@@ -48,6 +48,8 @@ class ThreadPool;
 
 namespace wormhole::sim {
 
+class ReplyMemo;
+
 struct EngineOptions {
   /// Spread traffic over equal-cost next hops by flow hash; with ECMP off
   /// the first (lowest) next hop is always taken.
@@ -145,10 +147,16 @@ class Engine {
   /// plane until a reply returns to that host or the packet dies.
   /// `probe.src` must be an attached host address.
   ///
+  /// With a `memo`, a reply whose forwarding state the memo has seen under
+  /// the current epoch is replayed instead of walked (sim/reply_memo.h);
+  /// outcome, RTT bits and stats are exactly what the walk gives. Without
+  /// one, every hop is walked: the reference path.
+  ///
   /// Thread-safe: Send is logically const — routing/LDP/topology state is
   /// shared read-only, and the stats counters are sharded per thread — so
-  /// any number of probers may inject packets concurrently.
-  Outcome Send(netbase::Packet probe) const;
+  /// any number of probers may inject packets concurrently, each with its
+  /// own memo.
+  Outcome Send(netbase::Packet probe, ReplyMemo* memo = nullptr) const;
 
   /// Results of one SendBatch call plus its recycled stepping state.
   ///
@@ -215,6 +223,9 @@ class Engine {
     /// prober discards mispredicted slots) pass false and commit the
     /// consumed slots' sum through CommitStats themselves.
     bool commit_stats = true;
+    /// Replays known reply walks, as Send's `memo` does. One memo per
+    /// calling thread; the engine keeps no pointer to it.
+    ReplyMemo* reply_memo = nullptr;
   };
 
   /// Steps all of `probes` through the data plane at once and writes
@@ -268,7 +279,15 @@ class Engine {
   struct StepResult {
     std::optional<Outcome> outcome;
     LossReason loss = LossReason::kNone;
+
+    [[nodiscard]] bool ended() const {
+      return outcome.has_value() || loss != LossReason::kNone;
+    }
   };
+
+  /// The Outcome an ended step reports to the host at `origin`: only
+  /// packets addressed to it terminate the simulation.
+  static Outcome Settle(StepResult step, netbase::Ipv4Address origin);
 
   /// A resolved label operation: where the labelled packet goes next and
   /// what happens to its top label. Unifies LDP and RSVP-TE forwarding.
@@ -338,6 +357,16 @@ class Engine {
   // The per-packet walk accumulates counters into a caller-local
   // EngineStats (no shared mutation on the hot path); Send flushes it
   // into this thread's shard once per injected packet.
+
+  /// Runs the reply in `t` to its end — delivery or loss — and checks the
+  /// delivery against `origin`. The one reply-drain routine behind Send
+  /// and StepBatchRow: with a `memo` it replays a recorded walk when the
+  /// key matches and the hop budget allows, else walks and records.
+  Outcome DrainReply(Transit& t, netbase::Ipv4Address origin,
+                     EngineStats& stats, ReplyMemo* memo) const;
+
+  /// One iteration of the hop loop: the max_hops guard, then one hop at
+  /// `t.router`.
   StepResult ProcessAt(Transit& t, EngineStats& stats) const;
   StepResult ProcessMpls(Transit& t, EngineStats& stats) const;
   StepResult ProcessIp(Transit& t, EngineStats& stats) const;
@@ -381,9 +410,11 @@ class Engine {
   std::size_t GroupLiveByRouter(BatchResult& batch, std::size_t live) const;
 
   /// Runs one generic data-plane step on row `pos` — exactly one
-  /// iteration of Send's hop loop — writing a finished outcome to its
-  /// slot (and tombstoning the row) or refreshing the row in place.
-  void StepBatchRow(BatchResult& batch, std::size_t pos) const;
+  /// iteration of Send's hop loop, then DrainReply if the step made a
+  /// reply — writing a finished outcome to its slot (and tombstoning the
+  /// row) or refreshing the row in place.
+  void StepBatchRow(BatchResult& batch, std::size_t pos,
+                    ReplyMemo* memo) const;
 
   /// Shared-decision fast path for rows [begin, end) of one router group
   /// that carry identical forwarding keys: resolves the routing decision

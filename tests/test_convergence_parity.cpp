@@ -344,6 +344,57 @@ TEST(DeltaReprobe, FlapStormMatchesColdAtEveryStep) {
   }
 }
 
+TEST(DeltaReprobe, LossyFlapStormAtShardOneMatchesCold) {
+  // ICMP loss makes reply bytes depend on probe ids, so the cache serves a
+  // trace only at the exact id offset it was recorded at (strict
+  // offsets). Shard size 1 puts an epoch check and a cache decision
+  // between every two traces, the storm moves routes under the cache, and
+  // every flap bumps the epoch that empties the probers' reply memos —
+  // all three at once, against a cold campaign at every step.
+  gen::InternetOptions options = SmallWorld();
+  options.icmp_loss = 0.05;
+  gen::SyntheticInternet world(options);
+  ASSERT_TRUE(world.engine().RepliesDependOnProbeIds());
+  topo::Topology& topology = world.mutable_topology();
+  const auto targets = world.AllLoopbacks();
+  campaign::CampaignOptions delta_options = DeltaCampaignOptions(/*jobs=*/2);
+  delta_options.stream_shard_size = 1;
+  campaign::Campaign delta_campaign(world.engine(), world.vantage_points(),
+                                    delta_options);
+  campaign::TraceCache cache;
+  ExpectSameDump(
+      CampaignBytes(delta_campaign.RunDelta(targets, cache), topology),
+      ColdBytes(world, targets));
+
+  std::vector<bool> is_up(topology.link_count(), true);
+  std::uint64_t x = 0xD1B54A32D192ED03ull;
+  std::uint64_t pairs_total = 0;
+  std::uint64_t pairs_reprobed = 0;
+  for (int flap = 0; flap < 8; ++flap) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    const topo::LinkId link =
+        static_cast<topo::LinkId>((x >> 33) % topology.link_count());
+    is_up[link] = !is_up[link];
+    topology.SetLinkUp(link, is_up[link]);
+    const routing::ConvergenceDelta delta =
+        world.network().OnLinkStateChange(link);
+    const routing::AsPathOracle oracle(topology,
+                                       world.network().bgp_level(),
+                                       world.network().bgp_policy());
+    cache.Invalidate(delta, oracle);
+    const auto result = delta_campaign.RunDelta(targets, cache);
+    pairs_total += result.delta_pairs_total;
+    pairs_reprobed += result.delta_pairs_reprobed;
+    ExpectSameDump(CampaignBytes(result, topology),
+                   ColdBytes(world, targets));
+  }
+  // Strict offsets still let the cache serve the pairs before a VP's
+  // first re-probe, so the storm exercised both sides of each decision.
+  ASSERT_GT(pairs_total, 0u);
+  EXPECT_LT(pairs_reprobed, pairs_total);
+  EXPECT_GT(pairs_reprobed, 0u);
+}
+
 // Runs in the TSan CI matrix: four worker threads serve cache hits and
 // record re-probes into their own (phase, vp) slots concurrently over a
 // warm cache. Any cross-slot write (or a Begin/Invalidate racing the

@@ -1,7 +1,8 @@
 // Allocation-behavior tests for the data-plane fast path: the inline
 // label stack (netbase::InlineVec) must keep stacks up to
 // kInlineLabelStackDepth off the heap, and the steady-state MPLS swap
-// path of the engine must not allocate at all.
+// path of the engine — and a warm prober's whole traceroute — must not
+// allocate at all.
 //
 // This translation unit replaces the global allocation functions with
 // counting wrappers; it must therefore stay its own test binary.
@@ -292,6 +293,33 @@ TEST(EngineFastPath, SteadyStateSoAColumnsSurviveAReshuffledBatch) {
     }
   });
   EXPECT_EQ(allocs, 0u);
+}
+
+TEST(EngineFastPath, WarmProberTracesWithoutAllocating) {
+  // A prober whose reply memo already holds every walk of a trace, tracing
+  // into a recycled TraceResult: the probes step through the engine, the
+  // replies replay from the memo and the hops land in the result's kept
+  // storage — zero heap traffic, sequential and batched.
+  gen::Gns3Testbed testbed(
+      {.scenario = gen::Gns3Scenario::kBackwardRecursive});
+  probe::Prober prober(testbed.engine(), testbed.vantage_point());
+  const auto target = testbed.Address("CE2.left");
+  for (const bool batched : {false, true}) {
+    const probe::TraceOptions options{.batched = batched};
+    probe::TraceResult trace;
+    // Warm-up: records the walks, sizes the batch buffers, the memo and
+    // the hop storage, and settles the adaptive window.
+    prober.Traceroute(target, options, trace);
+    prober.Traceroute(target, options, trace);
+    const std::uint64_t hits = prober.reply_memo().counts().hits;
+
+    const std::uint64_t allocs = CountAllocations(
+        [&] { prober.Traceroute(target, options, trace); });
+    EXPECT_EQ(allocs, 0u) << (batched ? "batched" : "sequential");
+    EXPECT_TRUE(trace.reached);
+    // Every reply of the measured trace was a replay.
+    EXPECT_GE(prober.reply_memo().counts().hits - hits, trace.hops.size());
+  }
 }
 
 TEST(EngineFastPath, ExpiringInsideTheTunnelStillQuotesCorrectly) {

@@ -1,10 +1,14 @@
 // Trace persistence round-trips.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "gen/gns3.h"
 #include "io/tracefile.h"
+#include "netbase/rng.h"
 #include "probe/prober.h"
 
 namespace wormhole::io {
@@ -157,6 +161,82 @@ TEST(Tracefile, IgnoresCommentsAndBlankLines) {
   ASSERT_EQ(traces.size(), 1u);
   EXPECT_EQ(traces[0].flow_id, 3);
   EXPECT_EQ(traces[0].hops.size(), 1u);
+}
+
+/// One of `edges`, or a uniform draw from [lo, hi], half the time each.
+int EdgeOr(netbase::Rng& rng, std::initializer_list<int> edges, int lo,
+           int hi) {
+  if (rng.Chance(0.5)) {
+    const int pick = rng.UniformInt(0, static_cast<int>(edges.size()) - 1);
+    return *(edges.begin() + pick);
+  }
+  return rng.UniformInt(lo, hi);
+}
+
+probe::TraceResult RandomTrace(netbase::Rng& rng) {
+  probe::TraceResult trace;
+  trace.source = netbase::Ipv4Address(rng.UniformU32());
+  trace.target = netbase::Ipv4Address(rng.UniformU32());
+  trace.flow_id =
+      static_cast<std::uint16_t>(EdgeOr(rng, {0, 65535}, 0, 65535));
+  trace.reached = rng.Chance(0.5);
+  trace.unreachable = !trace.reached && rng.Chance(0.3);
+  const int hops = rng.UniformInt(0, 12);
+  for (int h = 0; h < hops; ++h) {
+    probe::Hop hop;
+    hop.probe_ttl = EdgeOr(rng, {1, 255}, 1, 255);
+    if (rng.Chance(0.3)) {  // silent hop: "*"
+      trace.hops.push_back(hop);
+      continue;
+    }
+    hop.address = netbase::Ipv4Address(rng.UniformU32());
+    const netbase::PacketKind kinds[] = {
+        netbase::PacketKind::kTimeExceeded, netbase::PacketKind::kEchoReply,
+        netbase::PacketKind::kDestinationUnreachable};
+    hop.reply_kind = kinds[rng.UniformInt(0, 2)];
+    hop.reply_ip_ttl = EdgeOr(rng, {0, 1, 255}, 0, 255);
+    hop.rtt_ms = rng.Chance(0.1) ? 0.0 : rng.UniformReal(0.0, 900.0);
+    const int depth = rng.UniformInt(0, 5);  // past the inline depth too
+    for (int d = 0; d < depth; ++d) {
+      netbase::LabelStackEntry lse;
+      lse.label = static_cast<std::uint32_t>(EdgeOr(
+          rng, {0, 3, 15, 16, static_cast<int>(netbase::kMaxLabel)}, 0,
+          static_cast<int>(netbase::kMaxLabel)));
+      lse.ttl = static_cast<std::uint8_t>(EdgeOr(rng, {0, 1, 255}, 0, 255));
+      hop.labels.push_back(lse);
+    }
+    trace.hops.push_back(hop);
+  }
+  return trace;
+}
+
+TEST(Tracefile, WriteReadWriteIsAByteRoundTrip) {
+  // Property: for any traces the writer can emit, reading them back and
+  // writing again reproduces the file byte for byte — silent hops, label
+  // stacks deeper than the inline depth, and every field at the 20-bit
+  // label and 8-bit TTL edges included.
+  netbase::Rng rng(20171101);
+  std::string all;
+  for (int round = 0; round < 200; ++round) {
+    std::vector<probe::TraceResult> traces;
+    const int count = rng.UniformInt(0, 6);
+    for (int t = 0; t < count; ++t) traces.push_back(RandomTrace(rng));
+    std::stringstream first;
+    WriteTraces(first, traces);
+    const std::vector<probe::TraceResult> back = ReadTraces(first);
+    ASSERT_EQ(back.size(), traces.size()) << "round " << round;
+    std::stringstream second;
+    WriteTraces(second, back);
+    ASSERT_EQ(second.str(), first.str()) << "round " << round;
+    all += first.str();
+  }
+  // The generator did reach the edges the property is about.
+  const std::string max_label = "L" + std::to_string(netbase::kMaxLabel);
+  for (const std::string& edge :
+       {max_label + ":255", std::string(" L0:0"), std::string(" *\n"),
+        std::string("H 255 "), std::string(" 65535 ")}) {
+    EXPECT_NE(all.find(edge), std::string::npos) << edge;
+  }
 }
 
 }  // namespace
