@@ -252,23 +252,25 @@ BENCHMARK(BM_TracerouteThroughTunnel);
 
 /// The prober's reply-memo activity: the share of replies replayed
 /// instead of walked, and the hops the replays saved per probe.
-void SetMemoCounters(benchmark::State& state, const probe::Prober& prober) {
+void SetFastPathCounters(benchmark::State& state,
+                         const probe::Prober& prober) {
   const sim::ReplyMemo::Counts& memo = prober.reply_memo().counts();
   const auto replies = static_cast<double>(memo.hits + memo.misses);
+  const auto probes = static_cast<double>(prober.probes_sent());
+  const auto resumed = static_cast<double>(
+      prober.forward_cursor().counts().resumed_hops);
   state.counters["memo_hit_frac"] =
       replies > 0 ? static_cast<double>(memo.hits) / replies : 0.0;
   state.counters["replayed_hops/probe"] =
-      prober.probes_sent() > 0
-          ? static_cast<double>(memo.replayed_hops) /
-                static_cast<double>(prober.probes_sent())
-          : 0.0;
+      probes > 0 ? static_cast<double>(memo.replayed_hops) / probes : 0.0;
+  state.counters["resumed_hops/probe"] = probes > 0 ? resumed / probes : 0.0;
 }
 
 void BM_SequentialTraceroute(benchmark::State& state) {
-  // The one-probe-at-a-time tracer on the same worlds and target rotation
-  // as BM_BatchedTraceroute — the apples-to-apples denominator for the
-  // batched speedup (BM_TracerouteThroughTunnel runs on the tiny L1-warm
-  // testbed, which understates what batching buys on a real topology).
+  // Paris traceroutes from one vantage point over a rotation of every
+  // loopback of a real world (BM_TracerouteThroughTunnel runs on the tiny
+  // L1-warm testbed instead). The counters say how much the reply memo
+  // and the forward cursor skipped.
   gen::SyntheticInternet& world =
       WorldOfSize(static_cast<int>(state.range(0)));
   probe::Prober prober(world.engine(), world.vantage_points().front());
@@ -284,87 +286,11 @@ void BM_SequentialTraceroute(benchmark::State& state) {
   state.counters["probes/s"] = benchmark::Counter(
       static_cast<double>(prober.probes_sent()),
       benchmark::Counter::kIsRate);
-  SetMemoCounters(state, prober);
+  SetFastPathCounters(state, prober);
 }
 BENCHMARK(BM_SequentialTraceroute)
     ->ArgNames({"size"})
     ->ArgsProduct({{0, 1, 2}});
-
-void BM_BatchedTraceroute(benchmark::State& state) {
-  // The batched tracer across real worlds. Args: (world size class,
-  // batch window — 0 sweeps the whole remaining TTL range per batch).
-  // Compare probes/s against BM_TracerouteThroughTunnel for the batched
-  // speedup; the traces themselves are byte-identical to the sequential
-  // tracer (tests/test_batch_parity.cpp).
-  gen::SyntheticInternet& world =
-      WorldOfSize(static_cast<int>(state.range(0)));
-  probe::Prober prober(world.engine(), world.vantage_points().front());
-  const auto loopbacks = world.AllLoopbacks();
-  probe::TraceOptions options;
-  options.batched = true;
-  options.batch_window = static_cast<int>(state.range(1));
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        prober.Traceroute(loopbacks[i % loopbacks.size()], options));
-    ++i;
-  }
-  state.counters["routers"] =
-      static_cast<double>(world.topology().router_count());
-  state.counters["probes/s"] = benchmark::Counter(
-      static_cast<double>(prober.probes_sent()),
-      benchmark::Counter::kIsRate);
-  SetMemoCounters(state, prober);
-}
-BENCHMARK(BM_BatchedTraceroute)
-    ->ArgNames({"size", "window"})
-    ->ArgsProduct({{0, 1, 2}, {0, 4, 8}});
-
-void BM_SendBatchVsSend(benchmark::State& state) {
-  // The raw engine-entry-point comparison on identical work: one
-  // traceroute-shaped TTL fan (40 probes, TTL 1..40) through the BRPR
-  // tunnel per iteration, probe ids preassigned so both paths replay the
-  // same stochastic draws. Arg 0 steps the fan with sequential Send
-  // calls, Arg 1 with one SendBatch; outcome equality is pinned by
-  // tests/test_batch_parity.cpp, so the rows differ only in speed.
-  gen::Gns3Testbed testbed(
-      {.scenario = gen::Gns3Scenario::kBackwardRecursive});
-  const sim::Engine& engine = testbed.engine();
-  const auto target = testbed.Address("CE2.left");
-  constexpr int kFan = 40;
-  const bool batched = state.range(0) != 0;
-  std::vector<netbase::Packet> fan;
-  sim::Engine::BatchResult batch;
-  std::uint32_t id = 0;
-  std::uint64_t probes = 0;
-  for (auto _ : state) {
-    fan.clear();
-    for (int ttl = 1; ttl <= kFan; ++ttl) {
-      netbase::Packet probe;
-      probe.kind = netbase::PacketKind::kEchoRequest;
-      probe.src = testbed.vantage_point();
-      probe.dst = target;
-      probe.ip_ttl = ttl;
-      probe.probe_id = ++id;
-      fan.push_back(probe);
-    }
-    if (batched) {
-      engine.SendBatch(fan, batch);
-      benchmark::DoNotOptimize(batch.outcomes.data());
-    } else {
-      for (netbase::Packet& probe : fan) {
-        benchmark::DoNotOptimize(engine.Send(probe));
-      }
-    }
-    probes += kFan;
-  }
-  state.counters["probes/s"] = benchmark::Counter(
-      static_cast<double>(probes), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SendBatchVsSend)
-    ->ArgNames({"batched"})
-    ->Arg(0)
-    ->Arg(1);
 
 void BM_PingAcrossInternet(benchmark::State& state) {
   auto& net = const_cast<gen::SyntheticInternet&>(SharedNet());

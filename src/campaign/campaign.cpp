@@ -41,7 +41,6 @@ Campaign::Campaign(const sim::Engine& engine,
     : engine_(&engine),
       options_(options),
       pool_(options.jobs != 0 ? options.jobs : exec::HardwareConcurrency()) {
-  options_.trace_options.batched = options_.batched_stepping;
   probers_.reserve(vps.size());
   for (const netbase::Ipv4Address vp : vps) {
     probers_.emplace_back(engine, vp);

@@ -37,10 +37,10 @@ struct CampaignOptions {
   std::size_t hdn_threshold = 8;
   /// Probing options; the paper's scamper starts at TTL 2.
   probe::TraceOptions trace_options{.first_ttl = 2};
-  /// Drive every trace (discovery, targeted and revelation) through the
-  /// batched SendBatch stepper. Results are byte-identical to sequential
-  /// stepping; this only trades memory locality for throughput. Overrides
-  /// `trace_options.batched` at construction.
+  /// Ignored: every trace steps through Engine::Send with its prober's
+  /// forward cursor. Kept only because the repository benchmark
+  /// (perfbench/perfbench.cpp) still reads it; it goes with the next
+  /// change to that benchmark, together with TraceOptions::batched.
   bool batched_stepping = true;
   /// Require both candidate endpoints to be HDN nodes (paper Sec. 4); relax
   /// for small topologies.

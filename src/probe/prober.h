@@ -3,10 +3,9 @@
 // constant flow identifier per trace so ECMP cannot fan the path out).
 #pragma once
 
-#include <vector>
-
 #include "probe/trace.h"
 #include "sim/engine.h"
+#include "sim/forward_cursor.h"
 #include "sim/reply_memo.h"
 
 namespace wormhole::probe {
@@ -24,18 +23,12 @@ struct TraceOptions {
   /// retries; each retry uses a fresh probe id, which re-rolls simulated
   /// ICMP rate limiting).
   int attempts = 2;
-  /// Step the trace's probes through Engine::SendBatch in speculative
-  /// TTL-sweep batches instead of one Send per probe. Results, probe-id
-  /// sequence and engine stats are byte-identical to the sequential
-  /// tracer (mispredicted speculative probes are discarded and replayed);
-  /// campaigns turn this on for throughput.
+  /// Ignored: every trace steps through Engine::Send with the prober's
+  /// forward cursor. Kept only because the repository benchmark
+  /// (perfbench/perfbench.cpp) still assigns
+  /// CampaignOptions::batched_stepping to it; both go with the next
+  /// change to that benchmark.
   bool batched = false;
-  /// Cap on probes per speculative batch when `batched`. 0 picks windows
-  /// adaptively: the prober opens with a window sized by its previous
-  /// trace's length and extends in short increments, which bounds the
-  /// discarded speculative tail. The window never changes the observable
-  /// trace, only how much speculative work is thrown away.
-  int batch_window = 0;
 };
 
 class Prober {
@@ -70,45 +63,39 @@ class Prober {
     return reply_memo_;
   }
 
-  /// Back to a fresh prober's observable state: probe ids restart at 1,
-  /// the sent counter at 0, and the window hint is dropped. The batch
-  /// buffers and the reply memo keep their storage; the memo still holds
-  /// only walks of the current epoch (it empties itself when the engine
-  /// reconverges), so what a restarted prober observes is id-for-id what
-  /// a new one would.
+  /// The traces' forward cursor (sim/forward_cursor.h): reset at the start
+  /// of each trace, it lets every probe after the first resume where the
+  /// previous one stopped.
+  [[nodiscard]] const sim::ForwardCursor& forward_cursor() const {
+    return forward_cursor_;
+  }
+
+  /// Back to a fresh prober's observable state: probe ids restart at 1
+  /// and the sent counter at 0. The reply memo and the forward cursor keep
+  /// their storage; the memo still holds only walks of the current epoch
+  /// (it empties itself when the engine reconverges), so what a restarted
+  /// prober observes is id-for-id what a new one would.
   void Restart() {
     next_probe_id_ = 1;
     probes_sent_ = 0;
-    window_hint_ = 0;
   }
 
   /// Advances the probe-id sequence and the sent counter by `n` without
   /// sending anything, replaying the id consumption of a trace served
   /// from a cache (campaign::TraceCache) so every later live probe
-  /// carries exactly the id it would have carried in a cold run. The
-  /// adaptive window hint is deliberately left alone: it only shapes
-  /// discarded speculation, never observable bytes.
+  /// carries exactly the id it would have carried in a cold run.
   void SkipProbes(std::uint64_t n) {
     next_probe_id_ += static_cast<std::uint32_t>(n);
     probes_sent_ += n;
   }
 
  private:
-  void TracerouteBatched(netbase::Ipv4Address target,
-                         const TraceOptions& options, TraceResult& result);
-
   const sim::Engine* engine_;
   netbase::Ipv4Address source_;
   std::uint32_t next_probe_id_ = 1;
   std::uint64_t probes_sent_ = 0;
-  /// Reused across TracerouteBatched calls so steady-state campaign
-  /// batches allocate nothing.
-  std::vector<netbase::Packet> batch_probes_;
-  sim::Engine::BatchResult batch_;
   sim::ReplyMemo reply_memo_;
-  /// TTL count of the last completed trace — seeds the adaptive batch
-  /// window (batch_window == 0). Purely a speed hint; see TraceOptions.
-  int window_hint_ = 0;
+  sim::ForwardCursor forward_cursor_;
 };
 
 }  // namespace wormhole::probe

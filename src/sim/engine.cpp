@@ -7,6 +7,7 @@
 
 #include "exec/thread_pool.h"
 #include "netbase/contracts.h"
+#include "sim/forward_cursor.h"
 #include "sim/reply_memo.h"
 #include "sim/vendor.h"
 
@@ -56,7 +57,7 @@ std::uint64_t FlowHash(const Packet& p) {
 }
 
 // Deterministic per (probe, link) jitter in [-f, +f] of the base delay.
-// Shared by Forward, the batched run fast path and the reply-memo replay
+// Shared by Forward, the reply-memo replay and the forward-cursor resume
 // so all three compute bit-identical elapsed times.
 double JitteredDelay(double delay, double fraction, std::uint32_t probe_id,
                      topo::LinkId link) {
@@ -316,7 +317,8 @@ EngineStats Engine::stats() const {
   return total;
 }
 
-Engine::Outcome Engine::Send(netbase::Packet probe, ReplyMemo* memo) const {
+Engine::Outcome Engine::Send(netbase::Packet probe, ReplyMemo* memo,
+                             ForwardCursor* cursor) const {
   const topo::Host* origin = topology_->FindHost(probe.src);
   if (origin == nullptr) {
     throw std::invalid_argument("Send: probe.src is not an attached host");
@@ -326,6 +328,12 @@ Engine::Outcome Engine::Send(netbase::Packet probe, ReplyMemo* memo) const {
   }
   EngineStats local;
   ++local.packets_injected;
+  // Only a fresh echo-request can continue a trace: its walk state is a
+  // function of its TTL alone.
+  const bool fresh = probe.kind == PacketKind::kEchoRequest &&
+                     probe.labels.empty() && probe.hops_traversed == 0 &&
+                     probe.elapsed_ms == 0.0 && probe.ip_ttl >= 1 &&
+                     probe.ip_ttl <= 255;
 
   // The by-value parameter is the packet's storage for the whole walk:
   // the transit points at it and every hop mutates it in place.
@@ -334,18 +342,128 @@ Engine::Outcome Engine::Send(netbase::Packet probe, ReplyMemo* memo) const {
   probe.elapsed_ms += options_.host_stub_delay_ms;
   transit.router = origin->gateway;
   transit.in_interface = origin->stub_interface;
+  transit.follows = 1;  // the IP-TTL is the probe's TTL
 
   // Delivery to the origin host happens at its gateway, after the
   // gateway's normal forwarding decrement (handled inside ProcessIp).
   // Each step advances `transit` in place until the probe ends or turns
   // into a reply; the reply then drains home.
   StepResult step;
-  while (!step.ended() && !probe.is_reply()) step = ProcessAt(transit, local);
+  if (cursor != nullptr && fresh) {
+    step = WalkForward(transit, local, *cursor);
+  } else {
+    while (!step.ended() && !probe.is_reply()) {
+      step = ProcessAt(transit, local);
+    }
+  }
   Outcome final = step.ended()
                       ? Settle(std::move(step), origin->address)
                       : DrainReply(transit, origin->address, local, memo);
   CommitStats(local);
   return final;
+}
+
+Engine::StepResult Engine::WalkForward(Transit& t, EngineStats& stats,
+                                       ForwardCursor& cursor) const {
+  Packet& p = *t.packet;
+  const int probe_ttl = p.ip_ttl;
+  ForwardCursor::Key key;
+  key.engine = this;
+  key.epoch = convergence_epoch_;
+  key.topology_version = topology_->version();
+  key.src = p.src;
+  key.dst = p.dst;
+  key.flow_id = p.flow_id;
+  ForwardCursor::Saved& saved = cursor.saved_;
+  const int d = probe_ttl - saved.probe_ttl;
+  if (cursor.valid_ && cursor.key_ == key && d >= 0 && d <= saved.slack) {
+    // Resume where the previous probe stopped: its prefix, with every
+    // following TTL field shifted by d, is this probe's prefix.
+    WORMHOLE_DCHECK(cursor.trail_.size() == saved.trail_size,
+                    "the trail ends at the saved step");
+    t.router = saved.router;
+    t.in_interface = saved.in_interface;
+    t.locally_originated = saved.locally_originated;
+    t.skip_ip_decrement = saved.skip_ip_decrement;
+    t.follows = saved.follows;
+    t.slack = saved.slack - d;
+    p.ip_ttl = saved.ip_ttl + (t.IpFollows() ? d : 0);
+    p.labels = saved.labels;
+    for (std::size_t i = 0; i < p.labels.size(); ++i) {
+      if ((saved.follows & Transit::LabelBit(i)) == 0) continue;
+      WORMHOLE_DCHECK(p.labels[i].ttl + d <= 255,
+                      "a following LSE-TTL stays below the probe TTL");
+      p.labels[i].ttl = static_cast<std::uint8_t>(p.labels[i].ttl + d);
+    }
+    p.hops_traversed = saved.hops_traversed;
+    const double fraction = options_.delay_jitter_fraction;
+    if (fraction > 0.0) {
+      // Forward's additions, in walk order, for this probe id: a
+      // bit-identical elapsed time.
+      for (const topo::LinkId link : cursor.trail_) {
+        p.elapsed_ms += JitteredDelay(topology_->link(link).delay_ms,
+                                      fraction, p.probe_id, link);
+      }
+    } else {
+      p.elapsed_ms = saved.elapsed_ms;
+    }
+    stats = saved.stats;
+    ++cursor.counts_.resumes;
+    cursor.counts_.resumed_hops += saved.trail_size;
+  } else {
+    cursor.key_ = key;
+    cursor.valid_ = true;
+    cursor.trail_.clear();
+    ++cursor.counts_.walks;
+  }
+
+  while (true) {
+    saved.probe_ttl = probe_ttl;
+    saved.router = t.router;
+    saved.in_interface = t.in_interface;
+    saved.locally_originated = t.locally_originated;
+    saved.skip_ip_decrement = t.skip_ip_decrement;
+    saved.ip_ttl = p.ip_ttl;
+    saved.labels = p.labels;
+    saved.hops_traversed = p.hops_traversed;
+    saved.elapsed_ms = p.elapsed_ms;
+    saved.stats = stats;
+    saved.trail_size = static_cast<std::uint32_t>(cursor.trail_.size());
+    saved.follows = t.follows;
+    saved.slack = t.slack;
+    StepResult step = ProcessAt(t, stats);
+    if (step.ended() || p.is_reply()) return step;
+    cursor.trail_.push_back(topology_->interface(t.in_interface).link);
+  }
+}
+
+void Engine::Transit::Pushed(std::size_t index, bool follows_ttl) {
+  const std::uint64_t bit = LabelBit(index);
+  if (bit == 0) {
+    slack = 0;  // a field the mask cannot name: only a retry resumes
+  } else if (follows_ttl) {
+    follows |= bit;
+  } else {
+    follows &= ~bit;
+  }
+}
+
+void Engine::Transit::MinRule(std::uint64_t bit, int kept, int popped,
+                              bool popped_follows) {
+  const bool kept_follows = (follows & bit) != 0;
+  if (kept_follows == popped_follows) return;  // min of one kind keeps it
+  const int following = kept_follows ? kept : popped;
+  const int constant = kept_follows ? popped : kept;
+  if (following < constant) {
+    // The following side stays the minimum while the probe TTL grows by
+    // at most the margin.
+    slack = std::min(slack, constant - following);
+    follows |= bit;
+  } else {
+    // The constant side wins or ties, and keeps winning as the probe TTL
+    // grows.
+    follows &= ~bit;
+  }
 }
 
 Engine::Outcome Engine::Settle(StepResult step,
@@ -492,7 +610,13 @@ Engine::StepResult Engine::ProcessMpls(Transit& t, EngineStats& stats) const {
     ++stats.labels_popped;
     // Emulation-calibrated: decrement without an expiry check, no min copy
     // (see engine.h); then a fresh IP pass with no further decrement.
-    if (t.packet->ip_ttl > 0) --t.packet->ip_ttl;
+    if (t.packet->ip_ttl > 0) {
+      --t.packet->ip_ttl;
+    } else if (t.IpFollows()) {
+      // The clamp at 0 is no shift of the probe TTL: past here only a
+      // retry resumes.
+      t.slack = 0;
+    }
     t.skip_ip_decrement = true;
     return ProcessIp(t, stats);
   }
@@ -520,14 +644,19 @@ Engine::StepResult Engine::ProcessMpls(Transit& t, EngineStats& stats) const {
       // whatever gets exposed — the inner label of a stacked packet (SR
       // SID lists) or the IP header (RFC 3443 §5.4).
       const auto popped = static_cast<int>(decremented);
+      const bool popped_follows =
+          (t.follows & Transit::LabelBit(t.packet->labels.size() - 1)) != 0;
       t.packet->labels.pop_back();
       ++stats.labels_popped;
       if (router_cache_[r].config->min_ttl_on_pop) {
         if (!t.packet->labels.empty()) {
           LabelStackEntry& exposed = t.packet->labels.back();
+          t.MinRule(Transit::LabelBit(t.packet->labels.size() - 1),
+                    exposed.ttl, popped, popped_follows);
           exposed.ttl = static_cast<std::uint8_t>(
               std::min(static_cast<int>(exposed.ttl), popped));
         } else {
+          t.MinRule(1, t.packet->ip_ttl, popped, popped_follows);
           t.packet->ip_ttl = std::min(t.packet->ip_ttl, popped);
         }
       }
@@ -635,6 +764,7 @@ Engine::StepResult Engine::ProcessIp(Transit& t, EngineStats& stats) const {
                           "SR node SID exceeds the 20-bit label space");
           lse.ttl = static_cast<std::uint8_t>(propagate ? p.ip_ttl : 255);
           lse.bottom_of_stack = false;
+          t.Pushed(p.labels.size(), propagate && t.IpFollows());
           p.labels.push_back(lse);
         }
         if (p.labels.size() > before) {
@@ -664,6 +794,7 @@ Engine::StepResult Engine::ProcessIp(Transit& t, EngineStats& stats) const {
             "propagated LSE TTL outside [1, 255]");
         lse.ttl = static_cast<std::uint8_t>(
             config.ttl_propagate ? p.ip_ttl : 255);
+        t.Pushed(p.labels.size(), config.ttl_propagate && t.IpFollows());
         p.labels.push_back(lse);
         ++stats.labels_pushed;
       }
@@ -704,7 +835,7 @@ Engine::StepResult Engine::ProcessIp(Transit& t, EngineStats& stats) const {
   }
 
   const NextHop& hop = PickNextHop(entry->next_hops, p);
-  MaybeImpose(rc, *entry, hop, p, stats);
+  MaybeImpose(rc, *entry, hop, t, stats);
   Forward(t, hop);
   return {};
 }
@@ -802,8 +933,7 @@ const routing::NextHop& Engine::PickNextHop(
 
 void Engine::MaybeImpose(const RouterCache& rc,
                          const routing::FibEntry& entry,
-                         const routing::NextHop& hop,
-                         netbase::Packet& packet,
+                         const routing::NextHop& hop, Transit& t,
                          EngineStats& stats) const {
   const mpls::MplsConfig& config = *rc.config;
   if (!config.enabled) return;
@@ -837,11 +967,13 @@ void Engine::MaybeImpose(const RouterCache& rc,
                       (lse.label >= netbase::kFirstUnreservedLabel &&
                        lse.label <= netbase::kMaxLabel),
                   "imposed label outside the unreserved range");
+  Packet& packet = *t.packet;
   WORMHOLE_DCHECK(
       !config.ttl_propagate || (packet.ip_ttl >= 1 && packet.ip_ttl <= 255),
       "propagated LSE TTL outside [1, 255]");
   lse.ttl =
       static_cast<std::uint8_t>(config.ttl_propagate ? packet.ip_ttl : 255);
+  t.Pushed(packet.labels.size(), config.ttl_propagate && t.IpFollows());
   packet.labels.push_back(lse);  // in-flight order: new top goes at the back
   ++stats.labels_pushed;
 }
@@ -859,588 +991,6 @@ bool Engine::IsLocalAddress(topo::RouterId router,
     if (local == address) return true;
   }
   return false;
-}
-
-// ---------------------------------------------------------------------------
-// Batched stepping (SendBatch).
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// SoA top_label sentinel for an unlabelled in-flight packet. Real labels
-/// are 20-bit, so this can never collide (explicit-null is label 0, which
-/// must stay distinguishable from "no label at all").
-constexpr std::uint32_t kNoTopLabel = 0xFFFFFFFFu;
-
-// Transit flag bits packed into the SoA `flags` column.
-constexpr std::uint8_t kFlagLocallyOriginated = 1u << 0;
-constexpr std::uint8_t kFlagSkipIpDecrement = 1u << 1;
-// Scheduler-only bit: this row's forwarding key equals the key of the row
-// immediately before it (set by a shared run step, which applies the same
-// label transform to every member and so preserves key equality; cleared
-// whenever that predecessor row dies or the rows stop being adjacent).
-// Lets run detection skip the per-member SameForwardKey compare on every
-// round after a run's first.
-constexpr std::uint8_t kFlagSameKeyAsPrev = 1u << 2;
-// Set when a shared run advanced this row's column-resident state (top of
-// stack, elapsed, hops) past its arena packet; tells StepBatchRow's
-// prologue that a write-back is due. Rows that only ever step generically
-// never pay the packet restore.
-constexpr std::uint8_t kFlagColumnsDirty = 1u << 3;
-constexpr std::uint8_t kTransitFlags =
-    kFlagLocallyOriginated | kFlagSkipIpDecrement;
-
-// Prefetch distances, in grouped rows. The far stage pulls the row's
-// RouterCache and arena packet towards L1; by the time the row is
-// kPrefetchNear away its RouterCache is resident, so the near stage can
-// chase one level deeper into the FIB hash / ldp_op_offsets lines the
-// step will touch.
-constexpr std::size_t kPrefetchFar = 8;
-constexpr std::size_t kPrefetchNear = 3;
-
-/// True when two in-flight packets are guaranteed to get the identical
-/// forwarding decision at the same router: everything the routing layer
-/// reads must agree — kind, addressing, ECMP flow key, loop-guard count
-/// and the label *values* of the stack. Per-entry TTLs, probe ids and
-/// elapsed times may differ; they only feed member-local arithmetic.
-/// The hop counts and top labels come from the SoA columns (the
-/// authoritative copy for live rows); the packets supply only the fields
-/// that stay coherent while a row is column-resident (kind, addressing,
-/// flow key, stack depth and the buried label values).
-bool SameForwardKey(const Packet& a, const Packet& b, std::int32_t hops_a,
-                    std::int32_t hops_b, std::uint32_t top_a,
-                    std::uint32_t top_b) {
-  if (a.kind != b.kind || a.src != b.src || a.dst != b.dst ||
-      a.flow_id != b.flow_id || hops_a != hops_b || top_a != top_b ||
-      a.labels.size() != b.labels.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i + 1 < a.labels.size(); ++i) {
-    if (a.labels[i].label != b.labels[i].label) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-void Engine::RefreshBatchRow(BatchResult& b, std::size_t pos,
-                             const Transit& t) const {
-  const Packet& p = *t.packet;
-  b.router[pos] = t.router;
-  b.in_iface[pos] = t.in_interface;
-  b.flags[pos] = static_cast<std::uint8_t>(
-      (t.locally_originated ? kFlagLocallyOriginated : 0) |
-      (t.skip_ip_decrement ? kFlagSkipIpDecrement : 0));
-  if (p.has_labels()) {
-    b.top_label[pos] = p.labels.back().label;
-    b.ttl[pos] = p.labels.back().ttl;
-  } else {
-    b.top_label[pos] = kNoTopLabel;
-    b.ttl[pos] = static_cast<std::uint8_t>(std::clamp(p.ip_ttl, 0, 255));
-  }
-  b.elapsed[pos] = p.elapsed_ms;
-  b.hops[pos] = p.hops_traversed;
-}
-
-void Engine::WriteBackBatchRow(BatchResult& b, std::size_t pos) const {
-  if ((b.flags[pos] & kFlagColumnsDirty) == 0) return;
-  b.flags[pos] &= static_cast<std::uint8_t>(~kFlagColumnsDirty);
-  Packet& p = b.arena[b.slot[pos]];
-  p.elapsed_ms = b.elapsed[pos];
-  p.hops_traversed = b.hops[pos];
-  if (p.has_labels()) {
-    LabelStackEntry& top = p.labels.back();
-    top.label = b.top_label[pos];
-    top.ttl = b.ttl[pos];
-  } else {
-    p.ip_ttl = b.ttl[pos];
-  }
-}
-
-void Engine::StepBatchRow(BatchResult& b, std::size_t pos,
-                          ReplyMemo* memo) const {
-  const std::uint32_t s = b.slot[pos];
-  EngineStats& pstats = b.per_slot_stats[s];
-  // Restore packet coherence: shared runs may have advanced this row's
-  // top-of-stack / elapsed / hop-count columns without touching the arena.
-  WriteBackBatchRow(b, pos);
-  Transit t;
-  t.packet = &b.arena[s];
-  t.router = b.router[pos];
-  t.in_interface = b.in_iface[pos];
-  t.locally_originated = (b.flags[pos] & kFlagLocallyOriginated) != 0;
-  t.skip_ip_decrement = (b.flags[pos] & kFlagSkipIpDecrement) != 0;
-
-  // Send's hop loop, split the same way: a request steps exactly once
-  // and returns to the round scheduler (it may join a shared run next
-  // round); a reply drains to completion here — replies carry a unique
-  // src, so no other row can ever share their forwarding key, and
-  // keeping them in the round loop would only pay the regroup machinery
-  // once per hop for no batching gain.
-  StepResult step;
-  if (!t.packet->is_reply()) {
-    step = ProcessAt(t, pstats);
-    if (!step.ended() && !t.packet->is_reply()) {
-      RefreshBatchRow(b, pos, t);
-      return;
-    }
-  }
-  b.outcomes[s] = step.ended() ? Settle(std::move(step), b.origin[s])
-                               : DrainReply(t, b.origin[s], pstats, memo);
-  b.router[pos] = topo::kNoRouter;
-}
-
-std::size_t Engine::GroupLiveByRouter(BatchResult& b,
-                                      std::size_t live) const {
-  // Fast path: a fan that stepped together last round is still compacted
-  // and grouped (run members move to one neighbor, batch order is never
-  // reordered), so the stable sort below would be the identity
-  // permutation. Detect that with one cheap ordered-scan over the live
-  // rows and, when it holds, slide rows down over any tombstones in
-  // place — no permutation build, no six-column gather.
-  bool grouped = true;
-  {
-    RouterId prev = 0;
-    bool first = true;
-    for (std::size_t pos = 0; pos < live; ++pos) {
-      const RouterId r = b.router[pos];
-      if (r == topo::kNoRouter) continue;
-      if (!first && r < prev) {
-        grouped = false;
-        break;
-      }
-      prev = r;
-      first = false;
-    }
-  }
-  if (grouped) {
-    std::size_t alive = 0;
-    bool prev_dead = false;
-    for (std::size_t pos = 0; pos < live; ++pos) {
-      if (b.router[pos] == topo::kNoRouter) {
-        prev_dead = true;
-        continue;
-      }
-      if (alive != pos) {
-        b.slot[alive] = b.slot[pos];
-        b.router[alive] = b.router[pos];
-        b.in_iface[alive] = b.in_iface[pos];
-        b.ttl[alive] = b.ttl[pos];
-        b.top_label[alive] = b.top_label[pos];
-        b.flags[alive] = b.flags[pos];
-        b.elapsed[alive] = b.elapsed[pos];
-        b.hops[alive] = b.hops[pos];
-      }
-      // The same-key bit speaks about the immediately preceding row; it
-      // survives compaction only when that row did.
-      if (prev_dead) b.flags[alive] &= ~kFlagSameKeyAsPrev;
-      prev_dead = false;
-      ++alive;
-    }
-    return alive;
-  }
-
-  auto& order = b.order;
-  order.clear();
-  const std::size_t routers = router_cache_.size();
-  // Hybrid stable grouping: a permutation sort when the live set is much
-  // smaller than the router space (skips the O(routers) counting pass), a
-  // counting sort otherwise. Both are stable on batch order, so the
-  // grouped sequence — and therefore every outcome — is identical
-  // whichever branch runs.
-  if (live * 8 < routers) {
-    for (std::size_t pos = 0; pos < live; ++pos) {
-      if (b.router[pos] != topo::kNoRouter) {
-        order.push_back(static_cast<std::uint32_t>(pos));
-      }
-    }
-    std::stable_sort(order.begin(), order.end(),
-                     [&b](std::uint32_t x, std::uint32_t y) {
-                       return b.router[x] < b.router[y];
-                     });
-  } else {
-    b.counts.assign(routers, 0);
-    std::size_t alive = 0;
-    for (std::size_t pos = 0; pos < live; ++pos) {
-      if (b.router[pos] != topo::kNoRouter) {
-        ++b.counts[b.router[pos]];
-        ++alive;
-      }
-    }
-    // Exclusive prefix sum: counts[r] becomes the first output index of
-    // router r's group.
-    std::uint32_t begin = 0;
-    for (std::size_t r = 0; r < routers; ++r) {
-      const std::uint32_t count = b.counts[r];
-      b.counts[r] = begin;
-      begin += count;
-    }
-    order.resize(alive);
-    for (std::size_t pos = 0; pos < live; ++pos) {
-      if (b.router[pos] != topo::kNoRouter) {
-        order[b.counts[b.router[pos]]++] = static_cast<std::uint32_t>(pos);
-      }
-    }
-  }
-
-  // Gather every SoA column through the permutation, then adopt the
-  // gathered buffers (capacities were reserved at injection — steady
-  // state allocates nothing).
-  const std::size_t alive = order.size();
-  b.slot2.resize(alive);
-  b.router2.resize(alive);
-  b.in_iface2.resize(alive);
-  b.ttl2.resize(alive);
-  b.top_label2.resize(alive);
-  b.flags2.resize(alive);
-  b.elapsed2.resize(alive);
-  b.hops2.resize(alive);
-  for (std::size_t k = 0; k < alive; ++k) {
-    const std::uint32_t from = order[k];
-    b.slot2[k] = b.slot[from];
-    b.router2[k] = b.router[from];
-    b.in_iface2[k] = b.in_iface[from];
-    b.ttl2[k] = b.ttl[from];
-    b.top_label2[k] = b.top_label[from];
-    b.flags2[k] = b.flags[from];
-    b.elapsed2[k] = b.elapsed[from];
-    b.hops2[k] = b.hops[from];
-    // The same-key bit only survives when the row it speaks about — the
-    // old immediate predecessor — is still the immediate predecessor.
-    if (k == 0 || order[k - 1] + 1 != from) {
-      b.flags2[k] &= static_cast<std::uint8_t>(~kFlagSameKeyAsPrev);
-    }
-  }
-  b.slot.swap(b.slot2);
-  b.router.swap(b.router2);
-  b.in_iface.swap(b.in_iface2);
-  b.ttl.swap(b.ttl2);
-  b.top_label.swap(b.top_label2);
-  b.flags.swap(b.flags2);
-  b.elapsed.swap(b.elapsed2);
-  b.hops.swap(b.hops2);
-  return alive;
-}
-
-bool Engine::TryStepRunShared(BatchResult& b, std::size_t begin,
-                              std::size_t end) const {
-  const RouterId r = b.router[begin];
-  const RouterCache& rc = router_cache_[r];
-  // Read-only: the run decision is resolved on the leader, applied to
-  // every member later (misc-const-correctness would flag a `Packet&`).
-  // The leader packet supplies only its column-coherent fields (kind,
-  // addressing, flow key, stack depth); hop count and top label come
-  // from the authoritative SoA columns.
-  const Packet& leader = b.arena[b.slot[begin]];
-  if (b.hops[begin] > options_.max_hops) return false;
-
-  // Resolve the shared routing decision once, on the leader. Anything
-  // outside the four plain forwarding shapes (delivery, steering with SID
-  // lists, expiry, errors, black holes) bails out to the generic path.
-  enum class Run : std::uint8_t { kSwap, kSwapExplicitNull, kPop, kIp };
-  Run run = Run::kIp;
-  NextHop hop;
-  std::uint32_t out_label = 0;
-  bool impose = false;
-  std::uint32_t imposed_label = 0;
-
-  if (leader.has_labels()) {
-    const auto op = ResolveLabel(r, b.top_label[begin], leader);
-    if (!op) return false;
-    switch (op->kind) {
-      case LabelOp::Kind::kSwap:
-        run = Run::kSwap;
-        out_label = op->out_label;
-        break;
-      case LabelOp::Kind::kSwapExplicitNull:
-        run = Run::kSwapExplicitNull;
-        break;
-      case LabelOp::Kind::kPop:
-        run = Run::kPop;
-        break;
-    }
-    hop = op->hop;
-  } else {
-    const mpls::MplsConfig& config = *rc.config;
-    if (IsLocalAddress(r, leader.dst)) return false;
-    for (const AttachedHost& host : rc.hosts) {
-      if (host.address == leader.dst) return false;
-    }
-    if (sr_ != nullptr && config.enabled &&
-        sr_->PolicyFor(r, leader.dst) != nullptr) {
-      return false;
-    }
-    if (te_ != nullptr && config.enabled &&
-        te_->SteeringFor(r, leader.dst) != nullptr) {
-      return false;
-    }
-    const FibEntry* entry = rc.fib->Lookup(leader.dst);
-    if (entry == nullptr || entry->next_hops.empty()) return false;
-    hop = PickNextHop(entry->next_hops, leader);
-    // MaybeImpose's binding-resolution half, hoisted out of the member
-    // loop; only the TTL-propagation arithmetic is member-local.
-    if (config.enabled && rc.domain != nullptr) {
-      netbase::Prefix fec;
-      bool has_fec = true;
-      switch (entry->source) {
-        case routing::RouteSource::kBgp:
-          if (entry->bgp_next_hop.is_unspecified()) {
-            has_fec = false;  // eBGP exit
-          } else {
-            fec = netbase::Prefix::Host(entry->bgp_next_hop);
-          }
-          break;
-        case routing::RouteSource::kIgp:
-          fec = entry->prefix;
-          break;
-        case routing::RouteSource::kConnected:
-          has_fec = false;
-          break;
-      }
-      if (has_fec) {
-        const auto binding = rc.domain->BindingOf(hop.neighbor, fec);
-        if (binding && binding->kind != mpls::BindingKind::kImplicitNull) {
-          impose = true;
-          imposed_label =
-              binding->kind == mpls::BindingKind::kExplicitNull
-                  ? kExplicitNull
-                  : binding->label;
-        }
-      }
-    }
-  }
-
-  // Hoisted Forward(): same link, same arrival interface for the whole
-  // run; only the jitter draw (per probe id) stays member-local.
-  WORMHOLE_DCHECK(
-      hop.link != topo::kNoLink && hop.neighbor != topo::kNoRouter,
-      "run fast path over an unresolved next hop");
-  const double base_delay = topology_->link(hop.link).delay_ms;
-  const topo::InterfaceId arrival =
-      topology_->EndOn(hop.link, hop.neighbor).id;
-  const bool min_ttl_on_pop = rc.config->min_ttl_on_pop;
-  const bool propagate = rc.config->ttl_propagate;
-  const bool jitter = options_.delay_jitter_fraction > 0.0;
-
-  // The member loop advances the SoA columns only. Swap-family runs (the
-  // common LSP-interior case) never touch the arena packet at all — its
-  // top-of-stack, elapsed time and hop count go stale and are written
-  // back by StepBatchRow's prologue when the row next leaves the fast
-  // path. Pops and impositions must restructure the label stack, so they
-  // re-coherence exactly the packet fields they expose.
-  for (std::size_t pos = begin; pos < end; ++pos) {
-    const std::uint32_t s = b.slot[pos];
-    EngineStats& pstats = b.per_slot_stats[s];
-    ++pstats.hops_processed;
-    switch (run) {
-      case Run::kSwap: {
-        b.ttl[pos] = static_cast<std::uint8_t>(b.ttl[pos] - 1);
-        b.top_label[pos] = out_label;
-        break;
-      }
-      case Run::kSwapExplicitNull: {
-        b.ttl[pos] = static_cast<std::uint8_t>(b.ttl[pos] - 1);
-        b.top_label[pos] = kExplicitNull;
-        break;
-      }
-      case Run::kPop: {
-        Packet& p = b.arena[s];
-        const auto popped = static_cast<int>(
-            static_cast<std::uint8_t>(b.ttl[pos] - 1));
-        p.labels.pop_back();
-        ++pstats.labels_popped;
-        if (!p.labels.empty()) {
-          // The buried entries were never column-resident, so the newly
-          // exposed top is coherent in the packet.
-          LabelStackEntry& exposed = p.labels.back();
-          if (min_ttl_on_pop) {
-            exposed.ttl = static_cast<std::uint8_t>(
-                std::min(static_cast<int>(exposed.ttl), popped));
-          }
-          b.top_label[pos] = exposed.label;
-          b.ttl[pos] = exposed.ttl;
-        } else {
-          if (min_ttl_on_pop) p.ip_ttl = std::min(p.ip_ttl, popped);
-          b.top_label[pos] = kNoTopLabel;
-          b.ttl[pos] =
-              static_cast<std::uint8_t>(std::clamp(p.ip_ttl, 0, 255));
-        }
-        break;
-      }
-      case Run::kIp: {
-        // Member eligibility guaranteed ip_ttl > 1, so the decrement
-        // cannot expire here. Unlabelled rows keep the IP TTL in the
-        // ttl column.
-        b.ttl[pos] = static_cast<std::uint8_t>(b.ttl[pos] - 1);
-        if (impose) {
-          Packet& p = b.arena[s];
-          p.ip_ttl = static_cast<int>(b.ttl[pos]);
-          LabelStackEntry lse;
-          lse.label = imposed_label;
-          lse.ttl =
-              static_cast<std::uint8_t>(propagate ? p.ip_ttl : 255);
-          p.labels.push_back(lse);
-          ++pstats.labels_pushed;
-          b.top_label[pos] = lse.label;
-          b.ttl[pos] = lse.ttl;
-        }
-        break;
-      }
-    }
-    b.elapsed[pos] +=
-        jitter ? JitteredDelay(base_delay, options_.delay_jitter_fraction,
-                               b.arena[s].probe_id, hop.link)
-               : base_delay;
-    ++b.hops[pos];
-    b.router[pos] = hop.neighbor;
-    b.in_iface[pos] = arrival;
-    // Every member got the identical label transform, so key equality
-    // with the preceding member is preserved — record it so the next
-    // round's run detection skips the full compare. The dirty bit defers
-    // the packet write-back until the row next steps generically.
-    b.flags[pos] = static_cast<std::uint8_t>(
-        (pos == begin ? 0 : kFlagSameKeyAsPrev) | kFlagColumnsDirty);
-  }
-  return true;
-}
-
-void Engine::SendBatch(std::span<netbase::Packet> probes, BatchResult& b,
-                       SendBatchOptions batch_options) const {
-  const std::size_t n = probes.size();
-  ReplyMemo* memo = batch_options.reply_memo;
-  if (memo != nullptr) {
-    memo->Revalidate(convergence_epoch_, topology_->version());
-  }
-  b.outcomes.clear();
-  b.outcomes.resize(n);
-  b.per_slot_stats.clear();
-  b.per_slot_stats.resize(n);
-  b.arena.clear();
-  b.origin.clear();
-  b.slot.clear();
-  b.router.clear();
-  b.in_iface.clear();
-  b.ttl.clear();
-  b.top_label.clear();
-  b.flags.clear();
-  b.elapsed.clear();
-  b.hops.clear();
-  b.arena.reserve(n);  // slot pointers must stay stable for the batch
-  b.origin.reserve(n);
-  b.slot.reserve(n);
-  b.router.reserve(n);
-  b.in_iface.reserve(n);
-  b.ttl.reserve(n);
-  b.top_label.reserve(n);
-  b.flags.reserve(n);
-  b.elapsed.reserve(n);
-  b.hops.reserve(n);
-
-  // Injection: exactly Send's preamble, per slot. Campaign batches share
-  // one origin host, so the FindHost hash lookup is memoized on src.
-  const topo::Host* origin = nullptr;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (origin == nullptr || origin->address != probes[i].src) {
-      origin = topology_->FindHost(probes[i].src);
-      if (origin == nullptr) {
-        throw std::invalid_argument(
-            "SendBatch: probe.src is not an attached host");
-      }
-    }
-    ++b.per_slot_stats[i].packets_injected;
-    b.arena.push_back(std::move(probes[i]));
-    Packet& p = b.arena.back();
-    p.elapsed_ms += options_.host_stub_delay_ms;
-    b.origin.push_back(origin->address);
-    b.slot.push_back(static_cast<std::uint32_t>(i));
-    b.router.push_back(origin->gateway);
-    b.in_iface.push_back(origin->stub_interface);
-    b.flags.push_back(0);
-    if (p.has_labels()) {
-      b.top_label.push_back(p.labels.back().label);
-      b.ttl.push_back(p.labels.back().ttl);
-    } else {
-      b.top_label.push_back(kNoTopLabel);
-      b.ttl.push_back(static_cast<std::uint8_t>(std::clamp(p.ip_ttl, 0, 255)));
-    }
-    b.elapsed.push_back(p.elapsed_ms);
-    b.hops.push_back(p.hops_traversed);
-  }
-
-  // A row is run-shareable when its one-shot transit flags are clear,
-  // nothing can expire this hop, and the top of stack is routable without
-  // the UHP/reserved-label special cases.
-  const auto eligible = [&b](std::size_t pos) {
-    return (b.flags[pos] & kTransitFlags) == 0 && b.ttl[pos] > 1 &&
-           (b.top_label[pos] == kNoTopLabel ||
-            b.top_label[pos] >= netbase::kFirstUnreservedLabel);
-  };
-
-  // The prefetch ladder only pays for itself when the router caches and
-  // sealed FIBs outrun the last-level working set; on testbed-size worlds
-  // every line is already resident and the prefetches are pure issue
-  // cost.
-  const bool want_prefetch = router_cache_.size() >= 64;
-
-  // lint:batch-hot-begin
-  std::size_t live = n;
-  while (live > 0) {
-    live = GroupLiveByRouter(b, live);
-    std::size_t pos = 0;
-    while (pos < live) {
-      // Two-stage software prefetch down the grouped order.
-      if (want_prefetch && pos + kPrefetchFar < live) {
-        const std::size_t ahead = pos + kPrefetchFar;
-        __builtin_prefetch(&router_cache_[b.router[ahead]]);
-        __builtin_prefetch(&b.arena[b.slot[ahead]]);
-      }
-      if (want_prefetch && pos + kPrefetchNear < live) {
-        const std::size_t ahead = pos + kPrefetchNear;
-        const RouterCache& rc = router_cache_[b.router[ahead]];
-        const std::uint32_t label = b.top_label[ahead];
-        if (label == kNoTopLabel) {
-          rc.fib->PrefetchLookup(b.arena[b.slot[ahead]].dst);
-        } else if (label >= netbase::kFirstUnreservedLabel) {
-          const std::size_t index = label - netbase::kFirstUnreservedLabel;
-          if (index + 1 < rc.ldp_op_offsets.size()) {
-            __builtin_prefetch(&rc.ldp_op_offsets[index]);
-          }
-        }
-      }
-
-      // Grow a shared-decision run: adjacent rows at this router whose
-      // packets carry the same forwarding key (batch order is preserved
-      // by the stable grouping, so fan probes sit next to each other).
-      // After a run's first round the members carry the same-key bit and
-      // the compare short-circuits.
-      std::size_t run_end = pos;
-      if (eligible(pos)) {
-        const Packet& lead = b.arena[b.slot[pos]];
-        run_end = pos + 1;
-        while (run_end < live && b.router[run_end] == b.router[pos] &&
-               eligible(run_end) &&
-               ((b.flags[run_end] & kFlagSameKeyAsPrev) != 0 ||
-                SameForwardKey(lead, b.arena[b.slot[run_end]], b.hops[pos],
-                               b.hops[run_end], b.top_label[pos],
-                               b.top_label[run_end]))) {
-          ++run_end;
-        }
-      }
-      if (run_end - pos >= 2 && TryStepRunShared(b, pos, run_end)) {
-        pos = run_end;
-        continue;
-      }
-      StepBatchRow(b, pos, memo);
-      ++pos;
-    }
-  }
-  // lint:batch-hot-end
-
-  if (batch_options.commit_stats) {
-    EngineStats total;
-    for (const EngineStats& s : b.per_slot_stats) total += s;
-    CommitStats(total);
-  }
 }
 
 }  // namespace wormhole::sim

@@ -30,8 +30,8 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "mpls/config.h"
@@ -48,6 +48,7 @@ class ThreadPool;
 
 namespace wormhole::sim {
 
+class ForwardCursor;
 class ReplyMemo;
 
 struct EngineOptions {
@@ -148,108 +149,19 @@ class Engine {
   /// `probe.src` must be an attached host address.
   ///
   /// With a `memo`, a reply whose forwarding state the memo has seen under
-  /// the current epoch is replayed instead of walked (sim/reply_memo.h);
-  /// outcome, RTT bits and stats are exactly what the walk gives. Without
-  /// one, every hop is walked: the reference path.
+  /// the current epoch is replayed instead of walked (sim/reply_memo.h).
+  /// With a `cursor`, a probe that continues the cursor's trace resumes
+  /// where the trace's previous probe stopped instead of walking from the
+  /// gateway (sim/forward_cursor.h). Either way the outcome, RTT bits and
+  /// stats are exactly what the walk gives. Without them, every hop is
+  /// walked: the reference path.
   ///
   /// Thread-safe: Send is logically const — routing/LDP/topology state is
   /// shared read-only, and the stats counters are sharded per thread — so
   /// any number of probers may inject packets concurrently, each with its
-  /// own memo.
-  Outcome Send(netbase::Packet probe, ReplyMemo* memo = nullptr) const;
-
-  /// Results of one SendBatch call plus its recycled stepping state.
-  ///
-  /// All storage is reused across batches (capacity is kept on clear), so
-  /// a caller that holds on to one BatchResult steps every subsequent
-  /// batch without allocating. One BatchResult per calling thread; the
-  /// engine never retains a pointer to it past the SendBatch call.
-  class BatchResult {
-   public:
-    /// `outcomes[i]` is exactly what `Send(probes[i])` would have
-    /// returned: completed outcomes are written to their original batch
-    /// slot, whatever order the rounds retired them in.
-    std::vector<Outcome> outcomes;
-    /// Per-slot counter deltas (parallel to `outcomes`); their sum is what
-    /// the batch contributed to `stats()`. Callers that defer the flush
-    /// (SendBatchOptions::commit_stats == false) commit a subset of slots
-    /// through Engine::CommitStats.
-    std::vector<EngineStats> per_slot_stats;
-
-   private:
-    friend class Engine;
-    // Packet arena: slot-indexed, sized once per batch so packets (and
-    // their inline label stacks) never move while rounds run. Transits
-    // reference arena packets by pointer.
-    std::vector<netbase::Packet> arena;
-    // Per-slot origin host address (reply acceptance check).
-    std::vector<netbase::Ipv4Address> origin;
-    // Live-transit SoA rows, compacted and grouped by router each round.
-    // While a row is live these columns — not the arena packet — are the
-    // AUTHORITATIVE copy of its top-of-stack (`ttl`, `top_label`;
-    // kNoTopLabel when unlabelled, in which case `ttl` is the IP TTL),
-    // elapsed time and hop count: shared-decision runs update only the
-    // columns, and the packet is written back just before any generic
-    // step, expiry or delivery (see StepBatchRow's prologue and the
-    // kPop/impose write-backs in TryStepRunShared). The prefetch and
-    // run-sharing decisions therefore never touch the packet.
-    std::vector<std::uint32_t> slot;
-    std::vector<topo::RouterId> router;
-    std::vector<topo::InterfaceId> in_iface;
-    std::vector<std::uint8_t> ttl;
-    std::vector<std::uint32_t> top_label;
-    std::vector<std::uint8_t> flags;
-    std::vector<double> elapsed;
-    std::vector<std::int32_t> hops;
-    // Gather targets for the group-by-router permutation (swapped with
-    // the rows above each round).
-    std::vector<std::uint32_t> slot2;
-    std::vector<topo::RouterId> router2;
-    std::vector<topo::InterfaceId> in_iface2;
-    std::vector<std::uint8_t> ttl2;
-    std::vector<std::uint32_t> top_label2;
-    std::vector<std::uint8_t> flags2;
-    std::vector<double> elapsed2;
-    std::vector<std::int32_t> hops2;
-    // Sort scratch: the round's live permutation and per-router counts.
-    std::vector<std::uint32_t> order;
-    std::vector<std::uint32_t> counts;
-  };
-
-  struct SendBatchOptions {
-    /// Flush the batch's summed counters into this thread's stat shard
-    /// before returning (one flush per batch). Callers that must
-    /// attribute counters probe-by-probe (the speculative batched
-    /// prober discards mispredicted slots) pass false and commit the
-    /// consumed slots' sum through CommitStats themselves.
-    bool commit_stats = true;
-    /// Replays known reply walks, as Send's `memo` does. One memo per
-    /// calling thread; the engine keeps no pointer to it.
-    ReplyMemo* reply_memo = nullptr;
-  };
-
-  /// Steps all of `probes` through the data plane at once and writes
-  /// `Send`-identical outcomes into `batch.outcomes`, slot for slot.
-  ///
-  /// Each round groups the live transits by current router (stable in
-  /// batch order), so every lookup against one RouterCache, its FIB and
-  /// its ldp_op tables happens back-to-back, with the next group's state
-  /// software-prefetched while the current one is processed. Probes are
-  /// consumed (moved into the batch arena). Every `probe.src` must be an
-  /// attached host address (throws std::invalid_argument otherwise, in
-  /// which case the batch contents are unspecified).
-  ///
-  /// Thread-safe under the same contract as Send, provided each thread
-  /// uses its own BatchResult.
-  void SendBatch(std::span<netbase::Packet> probes, BatchResult& batch,
-                 SendBatchOptions batch_options) const;
-  void SendBatch(std::span<netbase::Packet> probes, BatchResult& batch) const {
-    SendBatch(probes, batch, SendBatchOptions{});
-  }
-
-  /// Adds `stats` to this thread's stat shard — the deferred-commit half
-  /// of SendBatchOptions::commit_stats == false.
-  void CommitStats(const EngineStats& stats) const;
+  /// own memo and cursor.
+  Outcome Send(netbase::Packet probe, ReplyMemo* memo = nullptr,
+               ForwardCursor* cursor = nullptr) const;
 
   /// Totals merged across the per-thread stat shards.
   [[nodiscard]] EngineStats stats() const;
@@ -257,10 +169,8 @@ class Engine {
 
  private:
   struct Transit {
-    /// The in-flight packet. A pointer so one stepping code path serves
-    /// both entry points: Send aims it at a stack local, SendBatch at a
-    /// stable arena slot — either way the packet bytes never move while
-    /// the hop loop runs.
+    /// The in-flight packet, held by pointer so the packet bytes never
+    /// move while the hop loop runs.
     netbase::Packet* packet = nullptr;
     topo::RouterId router = topo::kNoRouter;
     topo::InterfaceId in_interface = topo::kNoInterface;
@@ -269,6 +179,26 @@ class Engine {
     bool locally_originated = false;
     /// One-shot decrement suppression after a UHP pop at the same router.
     bool skip_ip_decrement = false;
+    /// TTL provenance for the forward cursor: bit 0 is set while the
+    /// IP-TTL follows the probe's TTL, LabelBit(i) while labels[i]'s TTL
+    /// does; every other TTL field is constant in it. The walk stays the
+    /// same, shifted, for a probe TTL up to `slack` above this one; past
+    /// that, a min rule it applied would pick the other side.
+    std::uint64_t follows = 0;
+    int slack = std::numeric_limits<int>::max();
+
+    /// The provenance bit of label index `index` (in-flight order); 0
+    /// past what the mask can name.
+    static std::uint64_t LabelBit(std::size_t index) {
+      return index < 63 ? std::uint64_t{2} << index : 0;
+    }
+    [[nodiscard]] bool IpFollows() const { return (follows & 1) != 0; }
+    /// Records a push at stack index `index`.
+    void Pushed(std::size_t index, bool follows_ttl);
+    /// Records the RFC 3443 min rule writing min(kept, popped) into the
+    /// field with provenance bit `bit`.
+    void MinRule(std::uint64_t bit, int kept, int popped,
+                 bool popped_follows);
   };
 
   // Each step either advances the caller's Transit IN PLACE (default
@@ -357,11 +287,18 @@ class Engine {
   // The per-packet walk accumulates counters into a caller-local
   // EngineStats (no shared mutation on the hot path); Send flushes it
   // into this thread's shard once per injected packet.
+  void CommitStats(const EngineStats& stats) const;
+
+  /// Steps the fresh probe in `t` until it ends or turns into a reply,
+  /// resuming at `cursor`'s saved step when the probe continues its
+  /// trace, and saving the transit before every step it takes.
+  StepResult WalkForward(Transit& t, EngineStats& stats,
+                         ForwardCursor& cursor) const;
 
   /// Runs the reply in `t` to its end — delivery or loss — and checks the
-  /// delivery against `origin`. The one reply-drain routine behind Send
-  /// and StepBatchRow: with a `memo` it replays a recorded walk when the
-  /// key matches and the hop budget allows, else walks and records.
+  /// delivery against `origin`. With a `memo` it replays a recorded walk
+  /// when the key matches and the hop budget allows, else walks and
+  /// records.
   Outcome DrainReply(Transit& t, netbase::Ipv4Address origin,
                      EngineStats& stats, ReplyMemo* memo) const;
 
@@ -396,45 +333,11 @@ class Engine {
 
   /// Pushes a label if the route and LDP tables call for it.
   void MaybeImpose(const RouterCache& rc, const routing::FibEntry& entry,
-                   const routing::NextHop& hop, netbase::Packet& packet,
+                   const routing::NextHop& hop, Transit& t,
                    EngineStats& stats) const;
 
   [[nodiscard]] bool IsLocalAddress(topo::RouterId router,
                                     netbase::Ipv4Address address) const;
-
-  // --- batched stepping internals (see SendBatch) -----------------------
-
-  /// Compacts the dead rows out of `batch`'s first `live` SoA rows and
-  /// stable-sorts the survivors by current router (batch order within a
-  /// router). Returns the new live count.
-  std::size_t GroupLiveByRouter(BatchResult& batch, std::size_t live) const;
-
-  /// Runs one generic data-plane step on row `pos` — exactly one
-  /// iteration of Send's hop loop, then DrainReply if the step made a
-  /// reply — writing a finished outcome to its slot (and tombstoning the
-  /// row) or refreshing the row in place.
-  void StepBatchRow(BatchResult& batch, std::size_t pos,
-                    ReplyMemo* memo) const;
-
-  /// Shared-decision fast path for rows [begin, end) of one router group
-  /// that carry identical forwarding keys: resolves the routing decision
-  /// once on the leader and applies it to every member with member-local
-  /// TTL/delay arithmetic, byte-identical to StepBatchRow on each.
-  /// Returns false (having stepped nothing) when the decision is not of a
-  /// shareable kind; the caller then steps the rows generically.
-  bool TryStepRunShared(BatchResult& batch, std::size_t begin,
-                        std::size_t end) const;
-
-  /// Re-derives row `pos`'s SoA fields (router, interface, TTL, top
-  /// label, flags, elapsed, hops) from its transit after a step left it
-  /// in flight — the packet is coherent at that point.
-  void RefreshBatchRow(BatchResult& batch, std::size_t pos,
-                       const Transit& t) const;
-
-  /// Writes row `pos`'s column-resident state (top-of-stack TTL/label,
-  /// elapsed time, hop count) back into its arena packet, restoring full
-  /// packet coherence before a generic step runs Send's hop loop on it.
-  void WriteBackBatchRow(BatchResult& batch, std::size_t pos) const;
 
   const topo::Topology* topology_;
   const mpls::MplsConfigMap* configs_;

@@ -59,7 +59,7 @@ class Network {
   ///    from the cached trees; LDP domains (internal FECs only) are kept.
   ///
   /// Call it once per SetLinkUp, before any further topology mutation,
-  /// and never concurrently with Send/SendBatch: reconvergence is the
+  /// and never concurrently with Send: reconvergence is the
   /// exclusive write phase of the engine's shared read-only state (the
   /// `convergence_role_` capability below — every rebuild helper
   /// REQUIRES it, so mutation outside the phase fails to compile).

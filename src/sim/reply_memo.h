@@ -20,7 +20,7 @@
 //    topology version and empties itself when either moves. Configs may
 //    only change through a reconvergence (the TraceCache contract).
 //
-// One memo per prober, passed to Engine::Send / SendBatch per call; the
+// One memo per prober, passed to Engine::Send per call; the
 // engine never keeps a pointer to it. Not thread-safe: one memo, one
 // thread at a time.
 #pragma once

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "analysis/campaign_report.h"
 #include "analysis/correct.h"
@@ -9,6 +10,7 @@
 #include "campaign/campaign.h"
 #include "campaign/crossval.h"
 #include "gen/internet.h"
+#include "io/tracefile.h"
 
 namespace wormhole::campaign {
 namespace {
@@ -391,6 +393,39 @@ TEST(CrossValidation, ExtractsOnlySameAsCleanTunnels) {
       EXPECT_EQ(net.topology().AsOfAddress(lsr), tunnel.asn);
     }
   }
+}
+
+
+std::string CampaignFingerprint(bool batched, std::size_t jobs) {
+  gen::InternetOptions options;
+  options.seed = 17;
+  options.tier1_count = 2;
+  options.transit_count = 4;
+  options.stub_count = 10;
+  options.vp_count = 3;
+  options.anonymous_router_probability = 0.02;
+  options.icmp_loss = 0.05;
+  gen::SyntheticInternet net(options);
+  Campaign campaign(net.engine(), net.vantage_points(),
+                    {.batched_stepping = batched, .jobs = jobs});
+  const CampaignResult result = campaign.Run(net.AllLoopbacks());
+  const sim::EngineStats stats = net.engine().stats();
+  std::ostringstream out;
+  out << stats.packets_injected << " " << stats.hops_processed << " "
+      << stats.icmp_generated << " " << stats.labels_pushed << " "
+      << stats.labels_popped << " " << result.probes_sent << "\n";
+  io::WriteTraces(out, result.traces);
+  analysis::WriteCampaignReport(out, result, net.topology());
+  return out.str();
+}
+
+TEST(BatchParity, CampaignIsByteIdenticalBatchedOrNot) {
+  // CampaignOptions::batched_stepping is ignored, but the repository
+  // benchmark still sets it: either value, at any job count, must give
+  // the same traces, report, engine stats and probe count.
+  const std::string sequential = CampaignFingerprint(false, 1);
+  EXPECT_EQ(CampaignFingerprint(true, 1), sequential);
+  EXPECT_EQ(CampaignFingerprint(true, 4), sequential);
 }
 
 }  // namespace

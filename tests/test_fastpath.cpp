@@ -8,7 +8,6 @@
 // counting wrappers; it must therefore stay its own test binary.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -48,6 +47,31 @@ void* operator new(std::size_t size, std::align_val_t align) {
 
 void* operator new[](std::size_t size, std::align_val_t align) {
   return operator new(size, align);
+}
+
+// The nothrow forms are replaced too: left to the runtime, they hand out
+// memory the replaced operator delete frees with std::free (libstdc++'s
+// stable_sort takes its buffer from nothrow new), which sanitizers report
+// as an allocation/deallocation mismatch.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return operator new(size, tag);
+}
+
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(align);
+  return std::aligned_alloc(a, (size + a - 1) & ~(a - 1));
+}
+
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t& tag) noexcept {
+  return operator new(size, align, tag);
 }
 
 void operator delete(void* p) noexcept { std::free(p); }
@@ -197,129 +221,33 @@ TEST(EngineFastPath, SteadyStateMplsSwapPathDoesNotAllocate) {
   EXPECT_EQ(allocs, 0u);
 }
 
-TEST(EngineFastPath, SteadyStateSendBatchRecyclesItsArena) {
-  // A traceroute-shaped batch through the tunnel, twice. The first batch
-  // may size the arena, the SoA rows and the outcome vectors; the second
-  // batch of the same shape must recycle all of it — the round loop, the
-  // group-by-router sort and the per-slot outcome writes run without one
-  // heap allocation.
-  gen::Gns3Testbed testbed(
-      {.scenario = gen::Gns3Scenario::kBackwardRecursive});
-  const sim::Engine& engine = testbed.engine();
-  const auto target = testbed.Address("CE2.left");
-
-  std::vector<netbase::Packet> fan;
-  sim::Engine::BatchResult batch;
-  std::uint32_t id = 0;
-  const auto fill = [&] {
-    fan.clear();
-    for (int ttl = 1; ttl <= 16; ++ttl) {
-      netbase::Packet probe;
-      probe.kind = netbase::PacketKind::kEchoRequest;
-      probe.src = testbed.vantage_point();
-      probe.dst = target;
-      probe.ip_ttl = ttl;
-      probe.probe_id = ++id;
-      fan.push_back(probe);
-    }
-  };
-
-  fill();
-  fan.reserve(fan.size());
-  engine.SendBatch(fan, batch);  // warm-up: sizes every buffer
-
-  const std::uint64_t allocs = CountAllocations([&] {
-    fill();
-    engine.SendBatch(fan, batch);
-    std::size_t received = 0;
-    for (const auto& outcome : batch.outcomes) {
-      received += outcome.received ? 1 : 0;
-    }
-    EXPECT_EQ(received, std::size_t{16});
-  });
-  EXPECT_EQ(allocs, 0u);
-}
-
-TEST(EngineFastPath, SteadyStateSoAColumnsSurviveAReshuffledBatch) {
-  // The per-row elapsed/hops/top-of-stack SoA columns are the
-  // authoritative copy of a live transit's state during shared-decision
-  // runs. Reordering the fan (same multiset of TTLs, different slot
-  // order) reshuffles the group-by-router permutation every round; the
-  // second batch must still run entirely in the recycled columns — zero
-  // heap traffic — and land every outcome in its original slot.
-  gen::Gns3Testbed testbed(
-      {.scenario = gen::Gns3Scenario::kBackwardRecursive});
-  const sim::Engine& engine = testbed.engine();
-  const auto target = testbed.Address("CE2.left");
-
-  std::vector<netbase::Packet> fan;
-  sim::Engine::BatchResult batch;
-  std::uint32_t id = 0;
-  const auto fill = [&](bool reversed) {
-    fan.clear();
-    for (int i = 0; i < 16; ++i) {
-      netbase::Packet probe;
-      probe.kind = netbase::PacketKind::kEchoRequest;
-      probe.src = testbed.vantage_point();
-      probe.dst = target;
-      probe.ip_ttl = reversed ? 16 - i : 1 + i;
-      probe.probe_id = ++id;
-      fan.push_back(probe);
-    }
-  };
-
-  fill(/*reversed=*/false);
-  engine.SendBatch(fan, batch);  // warm-up: sizes columns and arena
-  // Calibrate from the warm-up: kind_by_ttl[t] is what a TTL-(t+1) probe
-  // gets back (the testbed is deterministic, so the reversed batch must
-  // reproduce it TTL for TTL).
-  std::array<netbase::PacketKind, 16> kind_by_ttl{};
-  ASSERT_EQ(batch.outcomes.size(), kind_by_ttl.size());
-  for (std::size_t i = 0; i < kind_by_ttl.size(); ++i) {
-    ASSERT_TRUE(batch.outcomes[i].received) << "warm-up slot " << i;
-    kind_by_ttl[i] = batch.outcomes[i].reply.kind;
-  }
-
-  const std::uint64_t allocs = CountAllocations([&] {
-    fill(/*reversed=*/true);
-    engine.SendBatch(fan, batch);
-    for (std::size_t i = 0; i < batch.outcomes.size(); ++i) {
-      ASSERT_TRUE(batch.outcomes[i].received) << "slot " << i;
-      // Slot i carried TTL 16-i this time: its outcome must be the one
-      // the warm-up saw for that TTL — outcomes never migrate between
-      // slots however the live rows were regrouped.
-      EXPECT_EQ(batch.outcomes[i].reply.kind, kind_by_ttl[15 - i])
-          << "slot " << i;
-    }
-  });
-  EXPECT_EQ(allocs, 0u);
-}
-
 TEST(EngineFastPath, WarmProberTracesWithoutAllocating) {
   // A prober whose reply memo already holds every walk of a trace, tracing
-  // into a recycled TraceResult: the probes step through the engine, the
-  // replies replay from the memo and the hops land in the result's kept
-  // storage — zero heap traffic, sequential and batched.
+  // into a recycled TraceResult: the probes resume on the recycled
+  // forward cursor, the replies replay from the memo and the hops land in
+  // the result's kept storage — zero heap traffic.
   gen::Gns3Testbed testbed(
       {.scenario = gen::Gns3Scenario::kBackwardRecursive});
   probe::Prober prober(testbed.engine(), testbed.vantage_point());
   const auto target = testbed.Address("CE2.left");
-  for (const bool batched : {false, true}) {
-    const probe::TraceOptions options{.batched = batched};
-    probe::TraceResult trace;
-    // Warm-up: records the walks, sizes the batch buffers, the memo and
-    // the hop storage, and settles the adaptive window.
-    prober.Traceroute(target, options, trace);
-    prober.Traceroute(target, options, trace);
-    const std::uint64_t hits = prober.reply_memo().counts().hits;
+  const probe::TraceOptions options;
+  probe::TraceResult trace;
+  // Warm-up: records the walks and sizes the memo, the cursor's trail
+  // and the hop storage.
+  prober.Traceroute(target, options, trace);
+  prober.Traceroute(target, options, trace);
+  const std::uint64_t hits = prober.reply_memo().counts().hits;
+  const std::uint64_t resumes = prober.forward_cursor().counts().resumes;
 
-    const std::uint64_t allocs = CountAllocations(
-        [&] { prober.Traceroute(target, options, trace); });
-    EXPECT_EQ(allocs, 0u) << (batched ? "batched" : "sequential");
-    EXPECT_TRUE(trace.reached);
-    // Every reply of the measured trace was a replay.
-    EXPECT_GE(prober.reply_memo().counts().hits - hits, trace.hops.size());
-  }
+  const std::uint64_t allocs =
+      CountAllocations([&] { prober.Traceroute(target, options, trace); });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_TRUE(trace.reached);
+  // Every reply of the measured trace was a replay, and every probe after
+  // the first resumed.
+  EXPECT_GE(prober.reply_memo().counts().hits - hits, trace.hops.size());
+  EXPECT_EQ(prober.forward_cursor().counts().resumes - resumes,
+            trace.hops.size() - 1);
 }
 
 TEST(EngineFastPath, ExpiringInsideTheTunnelStillQuotesCorrectly) {

@@ -11,6 +11,8 @@
 #include "campaign/campaign.h"
 #include "gen/internet.h"
 #include "io/tracefile.h"
+#include "sim/forward_cursor.h"
+#include "sim/reply_memo.h"
 
 namespace wormhole::campaign {
 namespace {
@@ -118,11 +120,12 @@ TEST(ParallelDeterminism, DiscoveryMergesInVantagePointOrder) {
   EXPECT_EQ(sa.str(), sb.str());
 }
 
-TEST(ParallelDeterminism, ConcurrentSendBatchMatchesSequentialSend) {
-  // Many threads stepping batches against one shared engine (each with
-  // its own BatchResult, per the contract) must neither race — this test
-  // runs under TSan in CI — nor perturb results: every thread's outcomes
-  // equal the sequential Send outcomes for the same probes.
+TEST(ParallelDeterminism, ConcurrentCursorSendMatchesSequentialSend) {
+  // Many threads sending TTL sweeps against one shared engine, each
+  // through its own reply memo and forward cursor (per the contract),
+  // must neither race — this test runs under TSan in CI — nor perturb
+  // results: every thread's outcomes equal cursor-less Send's for the
+  // same probes.
   gen::SyntheticInternet net(WorldOptions());
   const sim::Engine& engine = net.engine();
   const auto vps = net.vantage_points();
@@ -154,21 +157,14 @@ TEST(ParallelDeterminism, ConcurrentSendBatchMatchesSequentialSend) {
 
   exec::ThreadPool pool(kThreads);
   std::vector<std::vector<sim::Engine::Outcome>> got(kThreads);
+  std::vector<sim::ForwardCursor::Counts> counts(kThreads);
   exec::ParallelFor(pool, kThreads, [&](std::size_t w) {
-    sim::Engine::BatchResult batch;
-    // Two batches per thread through one recycled BatchResult, so the
-    // concurrent run also covers arena reuse.
-    auto first_half = per_thread[w];
-    first_half.resize(per_thread[w].size() / 2);
-    auto second_half = std::vector<netbase::Packet>(
-        per_thread[w].begin() +
-            static_cast<std::ptrdiff_t>(first_half.size()),
-        per_thread[w].end());
-    engine.SendBatch(first_half, batch);
-    got[w] = batch.outcomes;
-    engine.SendBatch(second_half, batch);
-    got[w].insert(got[w].end(), batch.outcomes.begin(),
-                  batch.outcomes.end());
+    sim::ReplyMemo memo;
+    sim::ForwardCursor cursor;
+    for (const netbase::Packet& probe : per_thread[w]) {
+      got[w].push_back(engine.Send(probe, &memo, &cursor));
+    }
+    counts[w] = cursor.counts();
   });
 
   for (std::size_t w = 0; w < kThreads; ++w) {
@@ -176,6 +172,8 @@ TEST(ParallelDeterminism, ConcurrentSendBatchMatchesSequentialSend) {
     for (std::size_t i = 0; i < got[w].size(); ++i) {
       EXPECT_EQ(got[w][i], expected[w][i]) << "thread " << w << " slot " << i;
     }
+    // The sweeps did resume: the concurrent run covered the cursor.
+    EXPECT_GT(counts[w].resumes, 0u) << "thread " << w;
   }
 }
 

@@ -1,10 +1,14 @@
-// Reply-walk memo parity: a prober whose replies drain through its
-// sim::ReplyMemo must observe exactly what memo-less Engine::Send observes
-// — every TraceResult field (RTTs bit for bit, jitter included), every
-// probe id and every EngineStats counter — on the GNS3 scenarios, the
-// RSVP-TE and SR worlds and a lossy, jittered ECMP internet; at the
-// max_hops guard; and across a link flap, where the memo must empty
-// itself. The memo's own counts are pinned on a fixed world.
+// Fast-path parity: a prober whose replies drain through its
+// sim::ReplyMemo and whose probes resume on its sim::ForwardCursor must
+// observe exactly what memo-less, cursor-less Engine::Send observes —
+// every TraceResult field (RTTs bit for bit, jitter included), every probe
+// id and every EngineStats counter — on the GNS3 scenarios, the RSVP-TE
+// and SR worlds and a lossy, jittered ECMP internet; at the max_hops
+// guard; and across a link flap, where the memo must empty itself. The
+// cursor is also driven directly: TTL sweeps near 255 across a
+// no-ttl-propagate tunnel (the min rule's slack and its constant-wins
+// case), probes expiring inside a ttl-propagate LSP, and interleaved
+// flows. Both structures' counts are pinned on a fixed world.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +25,7 @@
 #include "mpls/segment_routing.h"
 #include "netbase/packet.h"
 #include "probe/prober.h"
+#include "sim/forward_cursor.h"
 #include "sim/network.h"
 #include "sim/reply_memo.h"
 #include "topo/topology.h"
@@ -47,6 +52,18 @@ EngineStats Minus(const EngineStats& after, const EngineStats& before) {
 }
 
 std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+Packet EchoRequest(Ipv4Address src, Ipv4Address dst, int ttl,
+                   std::uint16_t flow, std::uint32_t id) {
+  Packet p;
+  p.kind = PacketKind::kEchoRequest;
+  p.src = src;
+  p.dst = dst;
+  p.ip_ttl = ttl;
+  p.flow_id = flow;
+  p.probe_id = id;
+  return p;
+}
 
 /// Prober::Traceroute / Ping over memo-less Engine::Send: the reference
 /// path. Same state machine, same probe-id stream (ids from 1).
@@ -112,14 +129,7 @@ class ReferenceProber {
 
  private:
   Packet Probe(Ipv4Address target, int ttl, std::uint16_t flow) {
-    Packet p;
-    p.kind = PacketKind::kEchoRequest;
-    p.src = vp_;
-    p.dst = target;
-    p.ip_ttl = ttl;
-    p.flow_id = flow;
-    p.probe_id = next_id_++;
-    return p;
+    return EchoRequest(vp_, target, ttl, flow, next_id_++);
   }
 
   const Engine* engine_;
@@ -197,27 +207,23 @@ void ExpectSameObservations(const Observed& want, const Observed& got,
   EXPECT_EQ(got.probes, want.probes) << where;
 }
 
-/// The memoized prober, sequential and batched, against the reference.
-/// Returns the sequential prober's memo counts.
+/// The prober, with its memo and cursor, against the reference. Returns
+/// the prober's memo counts.
 sim::ReplyMemo::Counts ExpectMemoParity(
     const Engine& engine, Ipv4Address vp,
     const std::vector<Ipv4Address>& targets,
-    probe::TraceOptions options = {}) {
+    const probe::TraceOptions& options = {}) {
   ReferenceProber reference(engine, vp);
   const Observed want = RunScript(engine, reference, targets, options);
 
-  probe::Prober sequential(engine, vp);
-  const Observed seen = RunScript(engine, sequential, targets, options);
-  ExpectSameObservations(want, seen, "sequential");
-
-  options.batched = true;
-  probe::Prober batched(engine, vp);
-  const Observed batched_seen = RunScript(engine, batched, targets, options);
-  ExpectSameObservations(want, batched_seen, "batched");
-  // The script repeats every walk, so both memos must have served some.
-  EXPECT_GT(sequential.reply_memo().counts().hits, 0u);
-  EXPECT_GT(batched.reply_memo().counts().hits, 0u);
-  return sequential.reply_memo().counts();
+  probe::Prober prober(engine, vp);
+  const Observed seen = RunScript(engine, prober, targets, options);
+  ExpectSameObservations(want, seen, "prober");
+  // The script repeats every walk, so the memo must have served some; and
+  // every trace of more than one probe resumed on the cursor.
+  EXPECT_GT(prober.reply_memo().counts().hits, 0u);
+  EXPECT_GT(prober.forward_cursor().counts().resumes, 0u);
+  return prober.reply_memo().counts();
 }
 
 std::vector<std::optional<Ipv4Address>> Responders(
@@ -247,6 +253,7 @@ INSTANTIATE_TEST_SUITE_P(Scenarios, Gns3MemoParity,
                          ::testing::Values(
                              gen::Gns3Scenario::kDefault,
                              gen::Gns3Scenario::kBackwardRecursive,
+                             gen::Gns3Scenario::kExplicitRoute,
                              gen::Gns3Scenario::kTotallyInvisible));
 
 TEST(ReplyMemo, RsvpTeWorldMatchesTheReferencePath) {
@@ -515,9 +522,8 @@ TEST(ReplyMemo, ProberAcrossALinkFlapEqualsAFreshProber) {
 TEST(ReplyMemo, CountsArePinnedOnTheDefaultTestbed) {
   // Fig. 4a's world: a 7-hop trace to CE2 records one walk per hop, 36
   // hops between them (the LSR replies detour via the tunnel end). The
-  // same trace again replays all 7; a batched trace replays 8 (its
-  // opening window speculates one TTL past CE2, whose echo-reply is the
-  // same 7-hop walk); a ping to CE2 replays that walk once more.
+  // same trace again replays all 7; a ping to CE2 replays the echo-reply's
+  // 7-hop walk once more.
   gen::Gns3Testbed testbed({.scenario = gen::Gns3Scenario::kDefault});
   probe::Prober prober(testbed.engine(), testbed.vantage_point());
   const Ipv4Address target = testbed.Address("CE2.left");
@@ -529,12 +535,277 @@ TEST(ReplyMemo, CountsArePinnedOnTheDefaultTestbed) {
   const sim::ReplyMemo::Counts repeated{
       .hits = 7, .misses = 7, .replayed_hops = 36};
   EXPECT_EQ(prober.reply_memo().counts(), repeated);
-  (void)prober.Traceroute(target, {.batched = true});
   (void)prober.Ping(target);
   const sim::ReplyMemo::Counts all{
-      .hits = 7 + 8 + 1, .misses = 7, .replayed_hops = 36 + 43 + 7};
+      .hits = 7 + 1, .misses = 7, .replayed_hops = 36 + 7};
   EXPECT_EQ(prober.reply_memo().counts(), all);
   EXPECT_EQ(prober.reply_memo().size(), 7u);
+}
+
+/// Sends `probe` through cursor-less Send, then through Send with
+/// `cursor`: outcome, RTT bits and stats must agree. Returns the outcome.
+Engine::Outcome ExpectCursorParity(const Engine& engine, const Packet& probe,
+                                   sim::ForwardCursor& cursor,
+                                   const std::string& where) {
+  const EngineStats before = engine.stats();
+  const Engine::Outcome want = engine.Send(probe);
+  const EngineStats mid = engine.stats();
+  const Engine::Outcome got = engine.Send(probe, nullptr, &cursor);
+  EXPECT_EQ(got, want) << where;
+  EXPECT_EQ(Bits(got.rtt_ms), Bits(want.rtt_ms)) << where;
+  EXPECT_EQ(Minus(engine.stats(), mid), Minus(mid, before)) << where;
+  return want;
+}
+
+/// gw | in - p1 - ... - p6 - out | c0 - c1 - ... - c259, with AS2 running
+/// LDP without ttl-propagate. A probe of TTL t reaches p6 with IP-TTL
+/// t - 2 against a popped LSE-TTL of 249, so the PHP min rule keeps the
+/// probe's IP-TTL (margin 251 - t) up to t = 250 and the constant 249
+/// from t = 251 on; either way the probe expires deep in the chain, and
+/// its reply still makes it home.
+struct LongChainBehindATunnel {
+  topo::Topology topology;
+  std::unique_ptr<mpls::MplsConfigMap> configs;
+  std::unique_ptr<sim::Network> network;
+  Ipv4Address vp;
+  Ipv4Address target;
+
+  LongChainBehindATunnel() {
+    topology.AddAs(1, "src");
+    topology.AddAs(2, "tunnel");
+    topology.AddAs(3, "chain");
+    RouterId last = topology.AddRouter(1, "gw", Vendor::kCiscoIos);
+    vp = topology.AttachHost(last, "VP");
+    const auto extend = [&](topo::AsNumber asn, const std::string& name) {
+      const RouterId r = topology.AddRouter(asn, name, Vendor::kCiscoIos);
+      topology.AddLink(last, r);
+      last = r;
+    };
+    extend(2, "in");
+    for (int i = 1; i <= 6; ++i) extend(2, "p" + std::to_string(i));
+    extend(2, "out");
+    for (int i = 0; i < 260; ++i) extend(3, "c" + std::to_string(i));
+    target = topology.router(last).loopback;
+    configs = std::make_unique<mpls::MplsConfigMap>(topology);
+    configs->EnableAs(2, {.ttl_propagate = false});
+    network = std::make_unique<sim::Network>(
+        topology, *configs, routing::BgpPolicy{.stub_ases = {1, 3}},
+        sim::EngineOptions{.max_hops = 1024, .delay_jitter_fraction = 0.3});
+  }
+};
+
+TEST(ForwardCursor, NoTtlPropagateSweepNearTtl255MatchesTheReferencePath) {
+  LongChainBehindATunnel world;
+  const Engine& engine = world.network->engine();
+  std::uint32_t id = 0;
+  const auto responder = [&](int ttl) {
+    const Engine::Outcome outcome =
+        engine.Send(EchoRequest(world.vp, world.target, ttl, 0, ++id));
+    EXPECT_TRUE(outcome.received) << "ttl " << ttl;
+    EXPECT_EQ(outcome.reply.kind, PacketKind::kTimeExceeded) << "ttl " << ttl;
+    return outcome.reply.src;
+  };
+  // The world's shape: the min rule switches sides between TTL 250 and
+  // 251, and from there on the probe expires at one router.
+  ASSERT_NE(responder(250), responder(251));
+  ASSERT_EQ(responder(251), responder(255));
+
+  // Each sequence climbs from `start` in steps of d on a reset cursor;
+  // d = 0 repeats the TTL, as retries do.
+  sim::ForwardCursor cursor;
+  std::uint64_t sequences = 0;
+  for (const int d : {0, 1, 2, 3, 5}) {
+    for (int start = 245; start <= 255; ++start) {
+      cursor.Reset();
+      ++sequences;
+      for (int ttl = start, n = 0; ttl <= 255 && n < 6; ttl += d, ++n) {
+        (void)ExpectCursorParity(
+            engine, EchoRequest(world.vp, world.target, ttl, 0, ++id), cursor,
+            "d " + std::to_string(d) + " ttl " + std::to_string(ttl));
+      }
+    }
+  }
+  EXPECT_GT(cursor.counts().resumes, 0u);
+  // Some probes that continued their sequence walked from the gateway:
+  // the min rule's slack refused them.
+  EXPECT_GT(cursor.counts().walks, sequences);
+}
+
+TEST(ForwardCursor, TtlPropagateProbesExpiringInsideTheLspMatchTheReference) {
+  // Fig. 4a's world: under ttl-propagate the LSE-TTLs follow the probe
+  // TTL, so a probe resumed inside the LSP must shift them to expire one
+  // LSR further on.
+  gen::Gns3Testbed testbed({.scenario = gen::Gns3Scenario::kDefault});
+  const Engine& engine = testbed.engine();
+  const Ipv4Address target = testbed.Address("CE2.left");
+  sim::ForwardCursor cursor;
+  std::uint32_t id = 0;
+  std::size_t quoted = 0;
+  for (const int d : {1, 2}) {
+    for (int start = 1; start <= 3; ++start) {
+      cursor.Reset();
+      for (int ttl = start; ttl <= 9; ttl += d) {
+        const Engine::Outcome outcome = ExpectCursorParity(
+            engine,
+            EchoRequest(testbed.vantage_point(), target, ttl, 0, ++id),
+            cursor, "d " + std::to_string(d) + " ttl " + std::to_string(ttl));
+        if (ttl > start && !outcome.reply.quoted_labels.empty()) ++quoted;
+      }
+    }
+  }
+  // Resumed probes did expire inside the LSP.
+  EXPECT_GT(quoted, 0u);
+}
+
+TEST(ForwardCursor, UhpClampAtAZeroIpTtlIsNotResumedPast) {
+  // AS1(gw) | AS2: in - a - m - b - out | AS3: c0 - c1 - c2 - c3. Two
+  // no-ttl-propagate UHP TE tunnels back to back (in..m, m..out) decrement
+  // the IP-TTL at m and at out without an expiry check, clamping at 0. A
+  // TTL-3 probe reaches out with IP-TTL 0 and keeps it, so TTLs 3, 4 and
+  // 5 all expire at c0: the clamp is no shift of the probe TTL, and a
+  // cursor that resumed past it would send TTL 5 on to c1.
+  topo::Topology topology;
+  topology.AddAs(1, "src");
+  topology.AddAs(2, "te");
+  topology.AddAs(3, "dst");
+  RouterId last = topology.AddRouter(1, "gw", Vendor::kCiscoIos);
+  const Ipv4Address vp = topology.AttachHost(last, "VP");
+  std::vector<RouterId> as2;
+  const auto extend = [&](topo::AsNumber asn, const std::string& name) {
+    const RouterId r = topology.AddRouter(asn, name, Vendor::kCiscoIos);
+    topology.AddLink(last, r);
+    last = r;
+    if (asn == 2) as2.push_back(r);
+  };
+  for (const char* name : {"in", "a", "m", "b", "out"}) extend(2, name);
+  for (const char* name : {"c0", "c1", "c2", "c3"}) extend(3, name);
+  const Ipv4Address target = topology.router(last).loopback;
+  mpls::MplsConfigMap configs(topology);
+  configs.EnableAs(2, {.ttl_propagate = false});
+  const std::vector<std::vector<RouterId>> tunnels = {
+      {as2[0], as2[1], as2[2]}, {as2[2], as2[3], as2[4]}};
+  mpls::TeDatabase te;
+  for (const std::vector<RouterId>& path : tunnels) {
+    mpls::TeTunnelSpec spec;
+    spec.path = path;
+    spec.popping = mpls::Popping::kUhp;
+    spec.steered_prefixes = {topology.as(3).block};
+    te.AddTunnel(topology, spec);
+  }
+  sim::Network network(topology, configs,
+                       routing::BgpPolicy{.stub_ases = {1, 3}},
+                       sim::EngineOptions{}, &te);
+  const Engine& engine = network.engine();
+
+  std::uint32_t id = 0;
+  std::vector<Ipv4Address> responders;
+  for (int ttl = 1; ttl <= 7; ++ttl) {
+    const Engine::Outcome outcome =
+        engine.Send(EchoRequest(vp, target, ttl, 0, ++id));
+    ASSERT_TRUE(outcome.received) << "ttl " << ttl;
+    responders.push_back(outcome.reply.src);
+  }
+  // The world's shape: TTLs 3, 4 and 5 die at one router, TTL 6 beyond.
+  ASSERT_EQ(responders[2], responders[3]);
+  ASSERT_EQ(responders[3], responders[4]);
+  ASSERT_NE(responders[4], responders[5]);
+
+  sim::ForwardCursor cursor;
+  for (const int d : {0, 1, 2}) {
+    for (int start = 1; start <= 4; ++start) {
+      cursor.Reset();
+      for (int ttl = start, n = 0; ttl <= 8 && n < 4; ttl += d, ++n) {
+        (void)ExpectCursorParity(
+            engine, EchoRequest(vp, target, ttl, 0, ++id), cursor,
+            "d " + std::to_string(d) + " ttl " + std::to_string(ttl));
+      }
+    }
+  }
+  EXPECT_GT(cursor.counts().resumes, 0u);
+}
+
+TEST(ForwardCursor, ResumesOnlyTheSameFlowUnderTheSameEpoch) {
+  // Two probes per (src, dst, flow id), the TTL still climbing across
+  // every change of key: a cursor that ignored the key would resume the
+  // new flow on the old flow's path. Then a link of the current path
+  // flaps between two probes of one flow: a cursor that ignored the epoch
+  // would resume over the stale prefix.
+  gen::InternetOptions options = SmallInternet(41);
+  options.icmp_loss = 0.05;
+  gen::SyntheticInternet world(options);
+  const Engine& engine = world.engine();
+  const auto vps = world.vantage_points();
+  const auto loopbacks = world.AllLoopbacks();
+  ASSERT_GE(vps.size(), 2u);
+  sim::ForwardCursor cursor;
+  std::uint32_t id = 0;
+  struct Flow {
+    Ipv4Address src;
+    Ipv4Address dst;
+    std::uint16_t flow_id;
+  };
+  for (std::size_t a = 0; a < loopbacks.size(); a += 5) {
+    const Ipv4Address other = loopbacks[(a * 7 + 3) % loopbacks.size()];
+    const Flow flows[] = {{vps[0], loopbacks[a], 0},
+                          {vps[0], other, 0},
+                          {vps[0], other, 1},
+                          {vps[1], other, 1}};
+    int ttl = 2;
+    for (const Flow& f : flows) {
+      for (int k = 0; k < 2; ++k, ++ttl) {
+        (void)ExpectCursorParity(
+            engine, EchoRequest(f.src, f.dst, ttl, f.flow_id, ++id), cursor,
+            "target " + std::to_string(a) + " ttl " + std::to_string(ttl));
+      }
+    }
+  }
+  EXPECT_GT(cursor.counts().resumes, 0u);
+
+  const Ipv4Address target = loopbacks.back();
+  cursor.Reset();
+  for (int ttl = 1; ttl <= 4; ++ttl) {
+    (void)ExpectCursorParity(engine,
+                             EchoRequest(vps[0], target, ttl, 0, ++id),
+                             cursor, "before flap");
+  }
+  const probe::TraceResult path =
+      probe::Prober(engine, vps[0]).Traceroute(target);
+  ASSERT_GE(path.hops.size(), 4u);
+  ASSERT_TRUE(path.hops[2].address.has_value());
+  const auto iface =
+      world.topology().FindInterfaceByAddress(*path.hops[2].address);
+  ASSERT_TRUE(iface.has_value());
+  const topo::LinkId link = world.topology().interface(*iface).link;
+  ASSERT_NE(link, topo::kNoLink);
+  const std::uint64_t walks = cursor.counts().walks;
+  world.mutable_topology().SetLinkUp(link, false);
+  (void)world.network().OnLinkStateChange(link);
+  for (int ttl = 5; ttl <= 8; ++ttl) {
+    (void)ExpectCursorParity(engine,
+                             EchoRequest(vps[0], target, ttl, 0, ++id),
+                             cursor, "after flap");
+  }
+  EXPECT_EQ(cursor.counts().walks, walks + 1);
+}
+
+TEST(ForwardCursor, CountsArePinnedOnTheDefaultTestbed) {
+  // Fig. 4a's world: under ttl-propagate every hop spends one TTL, so the
+  // probe at TTL t stops t - 1 forward hops out. A 7-hop trace to CE2
+  // walks its first probe and resumes the other six, which skip
+  // 0 + 1 + ... + 5 = 15 forward hops. Every trace starts with a walk; a
+  // ping leaves the cursor alone.
+  gen::Gns3Testbed testbed({.scenario = gen::Gns3Scenario::kDefault});
+  probe::Prober prober(testbed.engine(), testbed.vantage_point());
+  const Ipv4Address target = testbed.Address("CE2.left");
+  ASSERT_EQ(prober.Traceroute(target).hops.size(), 7u);
+  const sim::ForwardCursor::Counts one{
+      .walks = 1, .resumes = 6, .resumed_hops = 15};
+  EXPECT_EQ(prober.forward_cursor().counts(), one);
+  (void)prober.Traceroute(target);
+  (void)prober.Ping(target);
+  const sim::ForwardCursor::Counts two{
+      .walks = 2, .resumes = 12, .resumed_hops = 30};
+  EXPECT_EQ(prober.forward_cursor().counts(), two);
 }
 
 }  // namespace

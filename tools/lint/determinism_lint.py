@@ -30,12 +30,6 @@ rules:
                       packet model) must not use heap-allocating std
                       containers; the steady-state swap path is
                       allocation-free by contract.
-  batch-heap          Regions bracketed by `// lint:batch-hot-begin` /
-                      `// lint:batch-hot-end` (the batched-stepping round
-                      loops) must neither declare heap-allocating std
-                      containers nor grow one (push_back/resize/...);
-                      batch arenas are sized before the rounds start and
-                      recycled, so steady state is allocation-free.
   label-range         Integer literals at label-assignment sites must be
                       0 (unset / explicit-null sentinel) or within
                       [16, 2^20 - 1]. Reserved labels 1..15 must be
@@ -79,8 +73,6 @@ EXEC_DIR = "src/exec"
 ALLOW_LINE = re.compile(r"//\s*lint:allow\(([\w,\s-]+)\)")
 ALLOW_NEXT = re.compile(r"//\s*lint:allow-next-line\(([\w,\s-]+)\)")
 ALLOW_FILE = re.compile(r"//\s*lint:allow-file\(([\w,\s-]+)\)")
-BATCH_HOT_BEGIN = re.compile(r"//\s*lint:batch-hot-begin\b")
-BATCH_HOT_END = re.compile(r"//\s*lint:batch-hot-end\b")
 
 WALL_CLOCK = re.compile(
     r"std::chrono::(system_clock|steady_clock|high_resolution_clock)"
@@ -102,13 +94,6 @@ HEAP_CONTAINER = re.compile(
     r"multimap|multiset|function|shared_ptr|unique_ptr)\b"
     r"|\bnew\b|\bmalloc\s*\(|\bcalloc\s*\("
 )
-# Container growth inside a batch-hot region. Even growth that usually
-# hits reserved capacity is banned: sizing belongs to batch setup, where
-# a reallocation is visible and paid once.
-CONTAINER_GROWTH = re.compile(
-    r"\.\s*(push_back|emplace_back|resize|reserve|assign|insert|emplace|"
-    r"append)\s*\("
-)
 UNORDERED_DECL = re.compile(
     r"unordered_(?:map|set|multimap|multiset)\s*<[^;]*?>\s+(\w+)\s*[;={(]"
 )
@@ -128,7 +113,6 @@ RULES = (
     "unordered-iteration",
     "raw-threading",
     "fastpath-heap",
-    "batch-heap",
     "label-range",
 )
 
@@ -231,7 +215,6 @@ def check_file(
     findings: list[Finding] = []
     next_line_allowed: set[str] = set()
     in_block = False
-    in_batch_hot = False
 
     is_fastpath = rel in FASTPATH_FILES
     is_output_dir = in_dirs(rel, OUTPUT_DIRS)
@@ -252,15 +235,8 @@ def check_file(
         for match in ALLOW_LINE.finditer(raw):
             allowed |= parse_rule_list(match.group(1))
 
-        # Region markers live in comments, so they are read from the raw
-        # line. The marker lines themselves are not part of the region.
-        if BATCH_HOT_END.search(raw):
-            in_batch_hot = False
-
         code, in_block = strip_code(raw, in_block)
         if not code.strip():
-            if BATCH_HOT_BEGIN.search(raw):
-                in_batch_hot = True
             continue
 
         if WALL_CLOCK.search(code):
@@ -297,17 +273,6 @@ def check_file(
                 "contract",
                 allowed,
             )
-        if in_batch_hot and (
-            HEAP_CONTAINER.search(code) or CONTAINER_GROWTH.search(code)
-        ):
-            report(
-                lineno,
-                "batch-heap",
-                "heap allocation or container growth inside a "
-                "lint:batch-hot region; size batch arenas before the "
-                "round loop starts",
-                allowed,
-            )
         if is_output_dir:
             for match in RANGE_FOR.finditer(code):
                 expr = match.group(1).strip()
@@ -331,9 +296,6 @@ def check_file(
                     "reserved labels must use netbase::ReservedLabel",
                     allowed,
                 )
-        if BATCH_HOT_BEGIN.search(raw):
-            in_batch_hot = True
-
     return findings
 
 

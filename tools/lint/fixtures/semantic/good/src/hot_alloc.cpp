@@ -1,7 +1,7 @@
 // sem-hot-alloc fixture, clean counterpart: the hot path writes into a
-// pre-sized member scratch buffer. Growth calls on members are owned by
-// the batch-heap region lint, not this rule — steady-state appends into
-// reserved capacity are the repo's documented pattern.
+// pre-sized member scratch buffer. Growth calls on members are not this
+// rule's business — steady-state appends into kept capacity are the
+// repo's documented pattern.
 #include <array>
 
 namespace fix {

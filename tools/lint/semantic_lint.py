@@ -11,12 +11,13 @@ receiver resolution — and checks *flow* properties that a grep cannot:
   sem-hot-alloc       No allocation (new / malloc / make_unique /
                       make_shared / an owning-container local) in any
                       function reachable from a hot entry point
-                      (Engine::Send, Engine::SendBatch, Fib::Lookup by
-                      default). The per-packet steady state is
-                      allocation-free by contract; a helper three calls
-                      deep still breaks it. Container *growth* on
-                      pre-sized members is deliberately not flagged here
-                      (the batch-heap region lint owns that).
+                      (Engine::Send and Fib::Lookup by default). The
+                      per-packet steady state is allocation-free by
+                      contract; a helper three calls deep still breaks
+                      it. Container *growth* on recycled members is
+                      deliberately not flagged: steady-state appends into
+                      kept capacity are the repo's pattern, and the
+                      zero-allocation fast-path tests pin it.
   sem-unordered-flow  No unordered-container iteration in any function
                       reachable from report/trace-producing code (the
                       output dirs), even when the function itself lives
@@ -77,7 +78,6 @@ DEFAULT_CONFIG = {
     # Suffix-matched against fully qualified function names.
     "hot_entries": [
         "sim::Engine::Send",
-        "sim::Engine::SendBatch",
         "routing::Fib::Lookup",
     ],
     # Functions allowed to allocate although hot-reachable. Fib::Seal is
@@ -87,7 +87,6 @@ DEFAULT_CONFIG = {
     ],
     "deterministic_entries": [
         "sim::Engine::Send",
-        "sim::Engine::SendBatch",
         "sim::Network::OnLinkStateChange",
         "sim::Network::ConvergeFull",
         # The streaming campaign's shard scheduler and replay reduce: the
