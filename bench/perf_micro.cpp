@@ -194,6 +194,34 @@ void BM_FibLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_FibLookup)->Arg(32)->Arg(24)->Arg(0);
 
+void BM_FibLookupWorld(benchmark::State& state) {
+  // Router after router of the size-1 world, each FIB looks up every
+  // vantage point (the destination of a campaign's reply hops) and the
+  // next loopback of a rotation (a probe hop). Each table is touched once
+  // per pass, so its lookups run as cache-cold as a campaign's hops do;
+  // BM_FibLookup's one table stays in L1.
+  gen::SyntheticInternet& world = WorldOfSize(1);
+  const std::vector<routing::Fib>& fibs = world.network().fibs();
+  const std::vector<netbase::Ipv4Address>& vps = world.vantage_points();
+  const std::vector<netbase::Ipv4Address> loopbacks = world.AllLoopbacks();
+  std::size_t next = 0;
+  std::uint64_t lookups = 0;
+  for (auto _ : state) {
+    for (const routing::Fib& fib : fibs) {
+      for (const netbase::Ipv4Address vp : vps) {
+        benchmark::DoNotOptimize(fib.Lookup(vp));
+      }
+      benchmark::DoNotOptimize(fib.Lookup(loopbacks[next]));
+      next = next + 1 == loopbacks.size() ? 0 : next + 1;
+    }
+    lookups += fibs.size() * (vps.size() + 1);
+  }
+  state.counters["routers"] = static_cast<double>(fibs.size());
+  state.counters["lookups/s"] = benchmark::Counter(
+      static_cast<double>(lookups), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_FibLookupWorld);
+
 void BM_LabelStackPushPop(benchmark::State& state) {
   // The per-hop stack discipline at inline depth: imposition of a full
   // 4-deep SID list followed by the pops along the path. Zero-allocation

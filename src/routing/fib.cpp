@@ -1,6 +1,7 @@
 #include "routing/fib.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <functional>
 
@@ -85,15 +86,34 @@ void Fib::Seal() const {
                   "sealed index must keep at least one empty slot");
   slots_.assign(capacity, Slot{});
   slot_mask_ = capacity - 1;
-  populated_lengths_ = 0;
 
+  // Per length: whether it is populated and the range of its masked
+  // addresses. The map iterates in ascending address order, so the first
+  // address seen at a length is its least and the last its greatest.
+  std::array<LengthRange, 33> ranges{};
+  std::uint64_t populated = 0;
   for (const auto& [key, entry] : routes_) {
-    populated_lengths_ |= std::uint64_t{1} << key.second;
-    const std::uint64_t packed = KeyOf(key.first, key.second);
+    const auto [address, length] = key;
+    LengthRange& range = ranges[static_cast<std::size_t>(length)];
+    if ((populated & (std::uint64_t{1} << length)) == 0) {
+      populated |= std::uint64_t{1} << length;
+      range = LengthRange{address, address, length};
+    }
+    WORMHOLE_DCHECK(range.lo <= address && range.hi <= address,
+                    "the route map iterates in ascending address order");
+    range.hi = address;
+    const std::uint64_t packed = KeyOf(address, length);
     WORMHOLE_DCHECK(packed != 0, "KeyOf must never produce the empty key");
     std::uint64_t i = HashKey(packed) & slot_mask_;
     while (slots_[i].key != 0) i = (i + 1) & slot_mask_;
     slots_[i] = Slot{packed, &entry};
+  }
+  lengths_.clear();
+  lengths_.reserve(static_cast<std::size_t>(std::popcount(populated)));
+  for (int length = 32; length >= 0; --length) {
+    if ((populated & (std::uint64_t{1} << length)) != 0) {
+      lengths_.push_back(ranges[static_cast<std::size_t>(length)]);
+    }
   }
   sealed_.store(true, std::memory_order_release);
 }
@@ -116,33 +136,18 @@ const FibEntry* Fib::FindSealed(std::uint32_t address, int length) const {
 
 const FibEntry* Fib::Lookup(Ipv4Address dst) const {
   if (!sealed_.load(std::memory_order_acquire)) Seal();
-  // Probe only the prefix lengths that exist, most specific first: the
-  // highest set bit of the remaining mask is the next candidate length.
-  std::uint64_t lengths = populated_lengths_;
+  // Probe only the prefix lengths that exist, most specific first, and
+  // only those whose stored range can hold the destination: outside
+  // [lo, hi] the hash probe would miss anyway.
   const std::uint32_t address = dst.value();
-  while (lengths != 0) {
-    const int length = std::bit_width(lengths) - 1;
-    lengths &= ~(std::uint64_t{1} << length);
-    if (const FibEntry* entry =
-            FindSealed(MaskAddress(address, length), length)) {
+  for (const LengthRange& range : lengths_) {
+    const std::uint32_t masked = MaskAddress(address, range.length);
+    if (masked < range.lo || masked > range.hi) continue;
+    if (const FibEntry* entry = FindSealed(masked, range.length)) {
       return entry;
     }
   }
   return nullptr;
-}
-
-void Fib::PrefetchLookup(Ipv4Address dst) const {
-  if (!sealed_.load(std::memory_order_acquire)) return;
-  // Mirror Lookup's probe order, but only hint the first hash slot of the
-  // two most specific populated lengths — the common LPM hit depth.
-  std::uint64_t lengths = populated_lengths_;
-  const std::uint32_t address = dst.value();
-  for (int hinted = 0; lengths != 0 && hinted < 2; ++hinted) {
-    const int length = std::bit_width(lengths) - 1;
-    lengths &= ~(std::uint64_t{1} << length);
-    const std::uint64_t packed = KeyOf(MaskAddress(address, length), length);
-    __builtin_prefetch(&slots_[HashKey(packed) & slot_mask_]);
-  }
 }
 
 const FibEntry* Fib::LookupExact(const Prefix& prefix) const {

@@ -7,11 +7,13 @@
 //
 // Two-sided design: AddRoute fills a mutable build-side (an ordered map,
 // which also serves deterministic enumeration), and Seal() compiles an
-// immutable flat query-side — a populated-prefix-length bitmask plus an
-// open-addressing hash over (masked address, length) — that Lookup probes.
-// LPM then touches only the handful of prefix lengths that actually exist
-// in the table instead of walking all 33, and each probe is a single hash
-// slot chase instead of a red-black-tree descent. Sealing happens lazily on
+// immutable flat query-side — the populated prefix lengths, each with the
+// range of masked addresses stored at it, plus an open-addressing hash
+// over (masked address, length) — that Lookup probes. LPM then touches
+// only the handful of prefix lengths that actually exist in the table
+// instead of walking all 33, skips a length outright when the destination
+// falls outside that length's range, and each probe is a single hash slot
+// chase instead of a red-black-tree descent. Sealing happens lazily on
 // the first Lookup (thread-safely) or eagerly via Seal(); AddRoute
 // invalidates the index, so build → query → rebuild cycles just work.
 #pragma once
@@ -209,12 +211,6 @@ class Fib {
   /// Longest-prefix-match; nullptr when no route covers `dst`.
   [[nodiscard]] const FibEntry* Lookup(Ipv4Address dst) const;
 
-  /// Best-effort cache warming for an imminent Lookup(dst): prefetches
-  /// the first-probe hash slots of the most specific populated prefix
-  /// lengths. Purely advisory — no effect on results, and a no-op before
-  /// the index is sealed (prefetching never triggers the seal).
-  void PrefetchLookup(Ipv4Address dst) const;
-
   /// Exact-match on a prefix (FEC lookup for LDP); nullptr if absent.
   /// Uses the sealed index when available, the build map otherwise (so
   /// interleaved AddRoute/LookupExact during route installation never
@@ -230,6 +226,15 @@ class Fib {
   struct Slot {
     std::uint64_t key = 0;  ///< 0 = empty (KeyOf never returns 0)
     const FibEntry* entry = nullptr;
+  };
+
+  /// A populated prefix length and the least and greatest masked address
+  /// stored at it. A destination whose masked address falls outside
+  /// [lo, hi] cannot match at this length, so Lookup skips its probe.
+  struct LengthRange {
+    std::uint32_t lo = 0;
+    std::uint32_t hi = 0;
+    int length = 0;
   };
 
   /// Packs (masked address, length) so that no valid route collides with
@@ -278,9 +283,9 @@ class Fib {
   mutable std::atomic<bool> sealed_{false};
   mutable std::vector<Slot> slots_;
   mutable std::uint64_t slot_mask_ = 0;
-  /// Bit l set ⇔ some /l route exists; Lookup probes only these lengths,
-  /// most-specific first.
-  mutable std::uint64_t populated_lengths_ = 0;
+  /// One record per populated length, most specific first: Lookup's probe
+  /// order. Unpopulated lengths take no space.
+  mutable std::vector<LengthRange> lengths_;
 };
 
 }  // namespace wormhole::routing

@@ -105,13 +105,37 @@ Engine::Engine(const topo::Topology& topology,
   // depends only on this router's converged state, so the parallel build
   // is bit-identical to the serial one.
   router_cache_.resize(topology.router_count());
+  host_count_ = topology.hosts().size();
+  host_routes_.resize(topology.router_count() * host_count_);
   exec::ParallelFor(pool, topology.router_count(), [&](std::size_t r) {
     router_cache_[r] = BuildRouterCache(static_cast<RouterId>(r));
+    ResolveRoutesHome(static_cast<RouterId>(r));
   });
   for (const topo::Host& host : topology.hosts()) {
     router_cache_[host.gateway].hosts.push_back(
         AttachedHost{host.address, host.stub_interface});
   }
+  adjacency_.reserve(topology.link_count());
+  for (const topo::Link& link : topology.links()) {
+    adjacency_.push_back({link.delay_ms, link.a, link.b,
+                          topology.interface(link.a).router});
+  }
+}
+
+void Engine::ResolveRoutesHome(topo::RouterId r) {
+  const routing::Fib& fib = (*fibs_)[r];
+  const std::vector<topo::Host>& hosts = topology_->hosts();
+  const std::size_t row = std::size_t{r} * host_count_;
+  for (std::size_t h = 0; h < host_count_; ++h) {
+    host_routes_[row + h] = fib.Lookup(hosts[h].address);
+  }
+}
+
+const routing::FibEntry* Engine::RouteHome(topo::RouterId router,
+                                           std::size_t host) const {
+  WORMHOLE_ASSERT(router < router_cache_.size() && host < host_count_,
+                  "RouteHome outside the table");
+  return host_routes_[std::size_t{router} * host_count_ + host];
 }
 
 Engine::RouterCache Engine::BuildRouterCache(topo::RouterId r) const {
@@ -215,6 +239,7 @@ void Engine::RefreshRouters(const std::vector<topo::RouterId>& routers) {
   ++convergence_epoch_;
   for (const RouterId r : routers) {
     router_cache_[r] = BuildRouterCache(r);
+    ResolveRoutesHome(r);
   }
   // Re-attach hosts lost with the replaced caches.
   for (const topo::Host& host : topology_->hosts()) {
@@ -343,6 +368,14 @@ Engine::Outcome Engine::Send(netbase::Packet probe, ReplyMemo* memo,
   transit.router = origin->gateway;
   transit.in_interface = origin->stub_interface;
   transit.follows = 1;  // the IP-TTL is the probe's TTL
+  // Every reply the walk originates is addressed to the probe's src, the
+  // origin host. A host attached after this engine was built has no
+  // column in the routes-home table.
+  const auto origin_index =
+      static_cast<std::size_t>(origin - topology_->hosts().data());
+  if (!probe.is_reply() && origin_index < host_count_) {
+    transit.home = static_cast<std::uint32_t>(origin_index);
+  }
 
   // Delivery to the origin host happens at its gateway, after the
   // gateway's normal forwarding decrement (handled inside ProcessIp).
@@ -401,8 +434,8 @@ Engine::StepResult Engine::WalkForward(Transit& t, EngineStats& stats,
       // Forward's additions, in walk order, for this probe id: a
       // bit-identical elapsed time.
       for (const topo::LinkId link : cursor.trail_) {
-        p.elapsed_ms += JitteredDelay(topology_->link(link).delay_ms,
-                                      fraction, p.probe_id, link);
+        p.elapsed_ms += JitteredDelay(adjacency_[link].delay_ms, fraction,
+                                      p.probe_id, link);
       }
     } else {
       p.elapsed_ms = saved.elapsed_ms;
@@ -433,7 +466,7 @@ Engine::StepResult Engine::WalkForward(Transit& t, EngineStats& stats,
     saved.slack = t.slack;
     StepResult step = ProcessAt(t, stats);
     if (step.ended() || p.is_reply()) return step;
-    cursor.trail_.push_back(topology_->interface(t.in_interface).link);
+    cursor.trail_.push_back(t.link);
   }
 }
 
@@ -513,8 +546,8 @@ Engine::Outcome Engine::DrainReply(Transit& t, netbase::Ipv4Address origin,
         for (std::uint32_t i = e->trail_begin;
              i < e->trail_begin + e->trail_size; ++i) {
           const topo::LinkId link = memo->trail_[i];
-          p.elapsed_ms += JitteredDelay(topology_->link(link).delay_ms,
-                                        fraction, p.probe_id, link);
+          p.elapsed_ms += JitteredDelay(adjacency_[link].delay_ms, fraction,
+                                        p.probe_id, link);
         }
         p.hops_traversed += static_cast<int>(e->trail_size);
         p.ip_ttl = e->final_ip_ttl;
@@ -554,7 +587,7 @@ Engine::Outcome Engine::DrainReply(Transit& t, netbase::Ipv4Address origin,
       WORMHOLE_DCHECK(p.hops_traversed == hops_before + 1,
                       "a reply step that does not end the walk forwards "
                       "exactly once");
-      recorder->RecordStep(topology_->interface(t.in_interface).link);
+      recorder->RecordStep(t.link);
     }
   }
 }
@@ -803,7 +836,19 @@ Engine::StepResult Engine::ProcessIp(Transit& t, EngineStats& stats) const {
     }
   }
 
-  const FibEntry* entry = rc.fib->Lookup(p.dst);
+  // A reply heads to its probe's origin host, whose route from here the
+  // routes-home table already holds; a probe takes the longest-prefix
+  // match.
+  const FibEntry* entry = nullptr;
+  if (p.is_reply() && t.home != kNoHost) {
+    WORMHOLE_DCHECK(p.dst == topology_->hosts()[t.home].address,
+                    "a reply heads to its probe's origin host");
+    entry = host_routes_[std::size_t{r} * host_count_ + t.home];
+    WORMHOLE_DCHECK(entry == rc.fib->Lookup(p.dst),
+                    "the routes-home table matches the FIB");
+  } else {
+    entry = rc.fib->Lookup(p.dst);
+  }
   if (entry == nullptr) {
     if (p.kind != PacketKind::kEchoRequest) {
       return StepResult{.loss = LossReason::kNoRoute};
@@ -912,12 +957,20 @@ netbase::Packet Engine::MakeEchoReply(const Transit& t,
 void Engine::Forward(Transit& t, const routing::NextHop& hop) const {
   WORMHOLE_DCHECK(hop.link != topo::kNoLink && hop.neighbor != topo::kNoRouter,
                   "Forward over an unresolved next hop");
-  t.packet->elapsed_ms += JitteredDelay(topology_->link(hop.link).delay_ms,
-                                        options_.delay_jitter_fraction,
-                                        t.packet->probe_id, hop.link);
+  WORMHOLE_DCHECK(hop.link < adjacency_.size(),
+                  "Forward over a link the engine was not built with");
+  const Adjacency& adjacency = adjacency_[hop.link];
+  t.packet->elapsed_ms +=
+      JitteredDelay(adjacency.delay_ms, options_.delay_jitter_fraction,
+                    t.packet->probe_id, hop.link);
   ++t.packet->hops_traversed;
   t.router = hop.neighbor;
-  t.in_interface = topology_->EndOn(hop.link, hop.neighbor).id;
+  t.link = hop.link;
+  t.in_interface =
+      hop.neighbor == adjacency.router_a ? adjacency.a : adjacency.b;
+  WORMHOLE_DCHECK(
+      t.in_interface == topology_->EndOn(hop.link, hop.neighbor).id,
+      "the adjacency record names the neighbor's end of the link");
   // The one-shot flags describe the router the packet just left, never the
   // neighbor it arrives at.
   t.locally_originated = false;

@@ -106,10 +106,10 @@ class Engine {
          const mpls::SrDatabase* sr = nullptr,
          exec::ThreadPool* pool = nullptr);
 
-  /// Rebuilds the hot-path caches of just `routers` after an incremental
-  /// reconvergence re-installed their routes/labels (the FIB vector and
-  /// LDP tables keep their addresses; only derived state is re-resolved).
-  /// Bumps the convergence epoch.
+  /// Rebuilds the hot-path caches and the routes home of just `routers`
+  /// after an incremental reconvergence re-installed their routes/labels
+  /// (the FIB vector and LDP tables keep their addresses; only derived
+  /// state is re-resolved). Bumps the convergence epoch.
   void RefreshRouters(const std::vector<topo::RouterId>& routers);
 
   /// Monotone convergence-epoch counter: 1 after construction, +1 per
@@ -167,13 +167,30 @@ class Engine {
   [[nodiscard]] EngineStats stats() const;
   [[nodiscard]] const topo::Topology& topology() const { return *topology_; }
 
+  /// The route `router` forwards a reply to `topology().hosts()[host]`
+  /// by: always `fibs[router].Lookup` of that host's address, resolved
+  /// when the engine is built and again for every router passed to
+  /// RefreshRouters. Read-only; for tests that pin the table.
+  [[nodiscard]] const routing::FibEntry* RouteHome(topo::RouterId router,
+                                                   std::size_t host) const;
+
  private:
+  /// Index of no host in `topology().hosts()`.
+  static constexpr std::uint32_t kNoHost = static_cast<std::uint32_t>(-1);
+
   struct Transit {
     /// The in-flight packet, held by pointer so the packet bytes never
     /// move while the hop loop runs.
     netbase::Packet* packet = nullptr;
     topo::RouterId router = topo::kNoRouter;
     topo::InterfaceId in_interface = topo::kNoInterface;
+    /// The link the packet last crossed (set by Forward).
+    topo::LinkId link = topo::kNoLink;
+    /// Index of the host every reply of this Send is addressed to: the
+    /// probe's origin. kNoHost when Send was handed a reply, whose
+    /// destination it does not know in advance, or when the origin was
+    /// attached after this engine was built.
+    std::uint32_t home = kNoHost;
     /// Set while the packet sits at the router that just originated it;
     /// suppresses the IP decrement for that first hop.
     bool locally_originated = false;
@@ -275,9 +292,23 @@ class Engine {
     std::vector<LabelOp> ldp_op_pool;
   };
 
+  /// One link as Forward reads it: its delay and both ends, so a hop
+  /// costs one load instead of the Link and two Interface records. Link
+  /// ends and delays never change once an engine exists (a topology that
+  /// grows gets a new engine; see docs/semantics.md, "Fast path").
+  struct Adjacency {
+    double delay_ms = 0.0;
+    topo::InterfaceId a = topo::kNoInterface;
+    topo::InterfaceId b = topo::kNoInterface;
+    topo::RouterId router_a = topo::kNoRouter;
+  };
+
   /// Builds one router's hot-path cache (everything except `hosts`, which
   /// the caller attaches from the topology's host list).
   [[nodiscard]] RouterCache BuildRouterCache(topo::RouterId r) const;
+
+  /// Resolves router `r`'s row of the routes-home table.
+  void ResolveRoutesHome(topo::RouterId r);
 
   /// Resolves `label` at `router`, consulting RSVP-TE then LDP tables.
   [[nodiscard]] std::optional<LabelOp> ResolveLabel(
@@ -348,6 +379,15 @@ class Engine {
   EngineOptions options_;
   /// Indexed by RouterId; built once in the constructor.
   std::vector<RouterCache> router_cache_;
+  /// Indexed by LinkId; built once in the constructor.
+  std::vector<Adjacency> adjacency_;
+  /// Routes home, router-major: entry [r * host_count_ + h] is
+  /// fibs[r].Lookup(hosts[h].address). Replies index it instead of
+  /// running a longest-prefix match (every reply heads to its probe's
+  /// origin host). Kept fresh under the same contract as router_cache_.
+  std::vector<const routing::FibEntry*> host_routes_;
+  /// Hosts the table covers: the topology's hosts at construction.
+  std::size_t host_count_ = 0;
   /// See convergence_epoch(). Written only inside the exclusive
   /// convergence phase (RefreshRouters), read freely outside it.
   std::uint64_t convergence_epoch_ = 1;

@@ -98,7 +98,8 @@ class ForwardCursor {
   bool valid_ = false;
   Saved saved_;
   /// Links walked from the gateway, in order. A resume re-reads each
-  /// link's delay from the topology, exactly as Forward does.
+  /// link's delay from the engine's adjacency record, exactly as Forward
+  /// does.
   std::vector<topo::LinkId> trail_;
   Counts counts_;
 };

@@ -128,7 +128,7 @@ class ReplyMemo {
   std::vector<Entry> entries_;
   std::vector<netbase::LabelStackEntry> labels_;
   /// Links walked, in order. Replays re-read each link's delay from the
-  /// topology, exactly as Forward does.
+  /// engine's adjacency record, exactly as Forward does.
   std::vector<topo::LinkId> trail_;
   /// Pool sizes when the open record began (AbortRecord rolls back).
   std::uint32_t record_labels_ = 0;

@@ -89,6 +89,31 @@ void ExpectSameDump(const std::string& got, const std::string& want) {
       << "...";
 }
 
+/// The engine's routes home (the table reply hops index instead of a
+/// longest-prefix match) must be each router's Lookup of each host in
+/// `net`, and route like the full rebuild `rebuilt`. The data-plane parity
+/// tests cannot see a stale row: their reference path reads it too.
+void ExpectFreshRoutesHome(sim::Network& net, sim::Network& rebuilt) {
+  const topo::Topology& topology = net.topology();
+  const std::vector<topo::Host>& hosts = topology.hosts();
+  ASSERT_FALSE(hosts.empty());
+  for (topo::RouterId r = 0; r < topology.router_count(); ++r) {
+    for (std::size_t h = 0; h < hosts.size(); ++h) {
+      const routing::FibEntry* got = net.engine().RouteHome(r, h);
+      ASSERT_EQ(got, net.fibs()[r].Lookup(hosts[h].address))
+          << "router " << r << " host " << h;
+      const routing::FibEntry* want = rebuilt.engine().RouteHome(r, h);
+      ASSERT_EQ(got == nullptr, want == nullptr)
+          << "router " << r << " host " << h;
+      if (got == nullptr) continue;
+      EXPECT_EQ(got->prefix, want->prefix) << "router " << r << " host " << h;
+      EXPECT_TRUE(std::equal(got->next_hops.begin(), got->next_hops.end(),
+                             want->next_hops.begin(), want->next_hops.end()))
+          << "router " << r << " host " << h;
+    }
+  }
+}
+
 TEST(ConvergenceParity, ParallelBuildMatchesSerialByteForByte) {
   gen::SyntheticInternet world(SmallWorld());
   sim::Network serial(world.topology(), world.configs(), world.bgp_policy(),
@@ -142,11 +167,15 @@ TEST(ConvergenceParity, IncrementalInternalFlapMatchesFullRebuild) {
   sim::Network rebuilt(topology, world.configs(), world.bgp_policy(), {},
                        nullptr, nullptr, /*convergence_jobs=*/1);
   ExpectSameDump(DumpControlPlane(incremental), DumpControlPlane(rebuilt));
+  ExpectFreshRoutesHome(incremental, rebuilt);
 
   // Restoring the link must restore the original control plane exactly.
   topology.SetLinkUp(link, true);
   incremental.OnLinkStateChange(link);
   ExpectSameDump(DumpControlPlane(incremental), before);
+  sim::Network restored(topology, world.configs(), world.bgp_policy(), {},
+                        nullptr, nullptr, /*convergence_jobs=*/1);
+  ExpectFreshRoutesHome(incremental, restored);
 }
 
 TEST(ConvergenceParity, IncrementalExternalFlapMatchesFullRebuild) {
@@ -164,10 +193,14 @@ TEST(ConvergenceParity, IncrementalExternalFlapMatchesFullRebuild) {
   sim::Network rebuilt(topology, world.configs(), world.bgp_policy(), {},
                        nullptr, nullptr, /*convergence_jobs=*/1);
   ExpectSameDump(DumpControlPlane(incremental), DumpControlPlane(rebuilt));
+  ExpectFreshRoutesHome(incremental, rebuilt);
 
   topology.SetLinkUp(link, true);
   incremental.OnLinkStateChange(link);
   ExpectSameDump(DumpControlPlane(incremental), before);
+  sim::Network restored(topology, world.configs(), world.bgp_policy(), {},
+                        nullptr, nullptr, /*convergence_jobs=*/1);
+  ExpectFreshRoutesHome(incremental, restored);
 }
 
 TEST(ConvergenceParity, OneSpfPerRouterPerConvergence) {

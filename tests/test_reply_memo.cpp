@@ -249,12 +249,22 @@ TEST_P(Gns3MemoParity, MemoizedProberMatchesTheReferencePath) {
                    Loopbacks(testbed.topology()));
 }
 
+// Each case is named after its scenario ("BackwardRecursive"): the name
+// says what it runs and stays put when a scenario is added.
+std::string ScenarioName(
+    const ::testing::TestParamInfo<gen::Gns3Scenario>& info) {
+  std::string name = gen::ToString(info.param);
+  std::erase(name, ' ');
+  return name;
+}
+
 INSTANTIATE_TEST_SUITE_P(Scenarios, Gns3MemoParity,
                          ::testing::Values(
                              gen::Gns3Scenario::kDefault,
                              gen::Gns3Scenario::kBackwardRecursive,
                              gen::Gns3Scenario::kExplicitRoute,
-                             gen::Gns3Scenario::kTotallyInvisible));
+                             gen::Gns3Scenario::kTotallyInvisible),
+                         ScenarioName);
 
 TEST(ReplyMemo, RsvpTeWorldMatchesTheReferencePath) {
   // AS1(gw) | AS2: in - a - b - out, plus a TE-pinned detour

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "netbase/rng.h"
 #include "routing/bgp.h"
 #include "routing/fib.h"
 #include "routing/igp.h"
@@ -174,6 +178,104 @@ TEST(Fib, AddRouteAfterLookupRebuildsTheIndex) {
   hit = fib.Lookup(addr);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->prefix.length(), 16);
+}
+
+// The longest match over Entries(), the slow way: what the sealed
+// index's Lookup must return for every address.
+const FibEntry* NaiveLongestMatch(const Fib& fib, netbase::Ipv4Address dst) {
+  const FibEntry* best = nullptr;
+  for (const FibEntry* entry : fib.Entries()) {
+    if (entry->prefix.Contains(dst) &&
+        (best == nullptr || entry->prefix.length() > best->prefix.length())) {
+      best = entry;
+    }
+  }
+  return best;
+}
+
+// A random prefix of length 0..32: scattered over the whole space, or
+// clustered inside one of a few /20 blocks (so the per-length address
+// ranges are narrow and their edges are hit often).
+netbase::Prefix RandomPrefix(netbase::Rng& rng, bool clustered) {
+  const int length = rng.UniformInt(0, 32);
+  std::uint32_t address = rng.UniformU32();
+  if (clustered) {
+    constexpr std::uint32_t kBlocks[] = {0x05000000u, 0x05001000u,
+                                         0x0A800000u, 0xC0A80000u};
+    address = kBlocks[rng.UniformInt(0, 3)] | (address & 0xFFFu);
+  }
+  return netbase::Prefix(netbase::Ipv4Address(address), length);
+}
+
+// Addresses at the edges of every populated length's stored range: the
+// range's least and greatest prefix, their first and last address, and
+// the address just outside each end. Plus random addresses, scattered
+// and inside the clusters.
+std::vector<netbase::Ipv4Address> EdgeAndRandomAddresses(const Fib& fib,
+                                                         netbase::Rng& rng) {
+  std::map<int, std::pair<std::uint32_t, std::uint32_t>> ranges;
+  for (const FibEntry* entry : fib.Entries()) {
+    const std::uint32_t address = entry->prefix.address().value();
+    const auto it =
+        ranges.try_emplace(entry->prefix.length(), address, address).first;
+    it->second.first = std::min(it->second.first, address);
+    it->second.second = std::max(it->second.second, address);
+  }
+  std::vector<netbase::Ipv4Address> out;
+  for (const auto& [length, range] : ranges) {
+    const std::uint32_t span =
+        length == 0 ? ~std::uint32_t{0}
+                    : (std::uint32_t{1} << (32 - length)) - 1;
+    const std::uint32_t lo = range.first;
+    const std::uint32_t hi_end = range.second + span;
+    for (const std::uint32_t a : {lo, lo + span, range.second, hi_end,
+                                  lo - 1, hi_end + 1}) {
+      out.emplace_back(a);  // wrap-around at 0 and 2^32 - 1 is fine
+    }
+  }
+  for (int i = 0; i < 200; ++i) {
+    out.emplace_back(rng.UniformU32());
+    out.push_back(RandomPrefix(rng, /*clustered=*/true).address());
+  }
+  return out;
+}
+
+TEST(Fib, SealedLookupMatchesANaiveLongestMatch) {
+  for (const bool clustered : {true, false}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      netbase::Rng rng(seed);
+      Fib fib;
+      std::vector<netbase::Prefix> added;
+      const int routes = rng.UniformInt(1, 120);
+      for (int i = 0; i < routes; ++i) {
+        FibEntry entry;
+        entry.prefix = RandomPrefix(rng, clustered);
+        if (!added.empty() && rng.Chance(0.15)) {
+          // Re-add an earlier prefix: the new entry replaces it.
+          const int pick =
+              rng.UniformInt(0, static_cast<int>(added.size()) - 1);
+          entry.prefix = added[static_cast<std::size_t>(pick)];
+        }
+        entry.metric = i;
+        fib.AddRoute(entry);
+        added.push_back(entry.prefix);
+      }
+      const auto expect_naive_matches = [&](const char* when) {
+        fib.Seal();
+        for (const netbase::Ipv4Address dst :
+             EdgeAndRandomAddresses(fib, rng)) {
+          ASSERT_EQ(fib.Lookup(dst), NaiveLongestMatch(fib, dst))
+              << "seed " << seed << (clustered ? " clustered " : " scattered ")
+              << when << " dst " << dst.ToString();
+        }
+      };
+      expect_naive_matches("as built");
+      FibEntry extra;
+      extra.prefix = RandomPrefix(rng, clustered);
+      fib.AddRoute(extra);
+      expect_naive_matches("after a reseal");
+    }
+  }
 }
 
 TEST(Spf, DistancesOnGrid) {

@@ -2,6 +2,8 @@
 // simulated data plane, and its absence in every non-UHP configuration.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "gen/gns3.h"
 #include "mpls/config.h"
 #include "probe/prober.h"
@@ -101,11 +103,21 @@ TEST_P(NonUhpScenarios, NeverFireTheUhpTrigger) {
   }
 }
 
+// Each case is named after its scenario ("BackwardRecursive"): the name
+// says what it runs and stays put when a scenario is added.
+std::string ScenarioName(
+    const ::testing::TestParamInfo<gen::Gns3Scenario>& info) {
+  std::string name = gen::ToString(info.param);
+  std::erase(name, ' ');
+  return name;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Scenarios, NonUhpScenarios,
     ::testing::Values(gen::Gns3Scenario::kDefault,
                       gen::Gns3Scenario::kBackwardRecursive,
-                      gen::Gns3Scenario::kExplicitRoute));
+                      gen::Gns3Scenario::kExplicitRoute),
+    ScenarioName);
 
 }  // namespace
 }  // namespace wormhole::reveal

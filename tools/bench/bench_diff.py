@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Compare two google-benchmark JSON snapshots and fail on regressions.
 
-Used by CI's bench-smoke job: the checked-in baseline (BENCH_seed.json)
-is diffed against the fresh run; any benchmark whose throughput counter
-(`probes/s`, `packets/s`, ...) drops — or, for counter-less benchmarks,
-whose per-iteration real_time rises — by more than the threshold fails
-the job. Benchmarks present on only one side are reported but never
+Used by CI's bench-smoke job: the merge base's per-row medians
+(bench_ab.py, same runner, interleaved runs) are diffed against the
+change's; any benchmark whose throughput counter (`probes/s`,
+`packets/s`, ...) drops — or, for counter-less benchmarks, whose
+per-iteration real_time rises — by more than the threshold fails the
+job. The job's peak-RSS steps use the --ceiling checks alone. Benchmarks present on only one side are reported but never
 fatal, so adding or retiring a benchmark does not need a baseline dance
 in the same PR.
 

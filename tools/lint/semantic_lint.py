@@ -52,13 +52,21 @@ Unresolvable calls (virtual through unknown types, function pointers)
 drop edges — the rules err toward silence, and the fixture suite pins
 the shapes that must keep working.
 
+Every hot_entries, hot_alloc_exempt and deterministic_entries spec of
+the config must name at least one function of the linted tree. A spec
+that names none (a root deleted or renamed since the config was
+written) would silently switch its rule off for that root, so it is
+reported as a config error (exit 2). Runs over explicit paths skip this
+check: a root outside them is not stale.
+
 Suppressions use the determinism-lint syntax and rule ids above:
 
   ... code ...  // lint:allow(sem-hot-alloc): reason
   // lint:allow-next-line(sem-const-mutation): reason
   // lint:allow-file(sem-unordered-flow): reason
 
-Exit status: 0 = clean, 1 = findings, 2 = usage error.
+Exit status: 0 = clean, 1 = findings, 2 = usage or config error
+(including a root spec that matches no function).
 """
 
 from __future__ import annotations
@@ -103,6 +111,13 @@ DEFAULT_CONFIG = {
     # The seeded-RNG home may name the raw engines it wraps.
     "nondet_exempt_files": ["src/netbase/rng.h"],
 }
+
+# Config keys whose specs name functions; each spec must match one.
+ROOT_SPEC_KEYS = (
+    "hot_entries",
+    "hot_alloc_exempt",
+    "deterministic_entries",
+)
 
 RULES = (
     "sem-hot-alloc",
@@ -768,6 +783,18 @@ class Analyzer:
         self.findings.sort(key=lambda f: (f.path, f.line, f.rule))
         return self.findings
 
+    def unmatched_specs(self) -> list[str]:
+        """One message per root or exemption spec that names no function
+        of the model: a stale spec turns its rule off without a word."""
+        messages = []
+        for key in ROOT_SPEC_KEYS:
+            for spec in self.config.get(key, []):
+                if not self.model.match_entries([spec]):
+                    messages.append(
+                        f"{key} spec '{spec}' matches no function"
+                    )
+        return messages
+
     def _each_reachable_func(self, chains: dict[str, list[str]]):
         for qname, chain in sorted(chains.items()):
             for func in self.model.functions[qname]:
@@ -1053,7 +1080,15 @@ def main() -> int:
                 print(f"{qname} -> {callee}")
         return 0
 
-    findings = Analyzer(model, config).run()
+    analyzer = Analyzer(model, config)
+    if not args.paths:
+        unmatched = analyzer.unmatched_specs()
+        for message in unmatched:
+            print(f"error: config: {message}", file=sys.stderr)
+        if unmatched:
+            return 2
+
+    findings = analyzer.run()
     for finding in findings:
         print(finding)
     if findings:

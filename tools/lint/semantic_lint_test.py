@@ -11,12 +11,15 @@ semantic/rules.json:
               (inline, next-line, file-level) — zero findings
 
 Plus model-level tests pinning the parser facts the rules depend on
-(field flags, call-graph edges, const-method detection).
+(field flags, call-graph edges, const-method detection), and the config
+check: fixtures/semantic/stale_rules.json names a root that no function
+matches (sim::Engine::SendBatch), which must fail the run.
 """
 
 from __future__ import annotations
 
 import json
+import subprocess
 import sys
 import unittest
 from pathlib import Path
@@ -121,6 +124,61 @@ class SuppressedTreeTest(unittest.TestCase):
         )
 
 
+class StaleRootTest(unittest.TestCase):
+    """A root or exemption spec that matches no function switches its rule
+    off for that root without a word, so it is a config error. The bad
+    tree defines every function rules.json names."""
+
+    STALE = FIXTURES / "stale_rules.json"
+
+    @staticmethod
+    def lint_bad_tree(config: Path) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [
+                sys.executable,
+                str(HERE / "semantic_lint.py"),
+                "--root",
+                str(FIXTURES / "bad"),
+                "--config",
+                str(config),
+            ],
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+
+    def test_fixture_rules_name_only_real_functions(self):
+        analyzer = semantic_lint.Analyzer(build_tree_model("bad"), CONFIG)
+        self.assertEqual([], analyzer.unmatched_specs())
+
+    def test_every_stale_spec_is_reported(self):
+        config = json.loads(self.STALE.read_text())
+        analyzer = semantic_lint.Analyzer(build_tree_model("bad"), config)
+        self.assertEqual(
+            analyzer.unmatched_specs(),
+            [
+                "hot_entries spec 'sim::Engine::SendBatch' matches no "
+                "function",
+                "deterministic_entries spec 'sim::Engine::SendBatch' "
+                "matches no function",
+            ],
+        )
+
+    def test_stale_spec_fails_the_run(self):
+        result = self.lint_bad_tree(self.STALE)
+        self.assertEqual(result.returncode, 2, result.stdout)
+        self.assertIn(
+            "error: config: hot_entries spec 'sim::Engine::SendBatch'",
+            result.stderr,
+        )
+
+    def test_matching_config_reaches_the_rules(self):
+        # Same tree, every spec matched: the run gets to the findings.
+        result = self.lint_bad_tree(FIXTURES / "rules.json")
+        self.assertEqual(result.returncode, 1, result.stderr)
+        self.assertNotIn("error: config", result.stderr)
+
+
 class ModelTest(unittest.TestCase):
     @classmethod
     def setUpClass(cls):
@@ -194,6 +252,14 @@ class RealTreeTest(unittest.TestCase):
         fib = self.model.classes["wormhole::routing::Fib"]
         self.assertTrue(fib.fields["slots_"].is_mutable)
         self.assertTrue(fib.fields["sealed_"].atomic)
+
+    def test_shipped_rules_name_real_functions(self):
+        shipped = json.loads(
+            (HERE / "semantic_rules.json").read_text()
+        )
+        for config in (semantic_lint.DEFAULT_CONFIG, shipped):
+            analyzer = semantic_lint.Analyzer(self.model, config)
+            self.assertEqual([], analyzer.unmatched_specs())
 
     def test_stat_shard_is_an_atomic_aggregate(self):
         shard = self.model.classes["wormhole::sim::Engine::StatShard"]
