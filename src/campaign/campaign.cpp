@@ -248,7 +248,7 @@ CampaignResult Campaign::StreamingCampaign(
   // loss-free worlds can serve at any offset (docs/incremental.md).
   const bool strict_offsets =
       cache != nullptr && engine_->RepliesDependOnProbeIds();
-  if (cache != nullptr) cache->Begin(topology, probers_.size());
+  if (cache != nullptr) cache->Begin(topology, probers_.size(), epoch);
   // Route the reduce's echo pings (fingerprint echo halves, candidate
   // egress probes) through the cache's ping table for the rest of this
   // run; revelation probing always runs live.

@@ -36,14 +36,17 @@ void CompactTraceLog::Append(const probe::TraceResult& trace) {
 void CompactTraceLog::AppendFrom(const CompactTraceLog& other,
                                  std::size_t i) {
   Header header = other.traces_.at(i);
-  const std::size_t hop_end = i + 1 < other.traces_.size()
-                                  ? other.traces_[i + 1].hop_begin
-                                  : other.hops_.size();
+  const std::size_t hop_end = other.HopEnd(i);
   const std::size_t hop_begin = header.hop_begin;
   header.hop_begin = static_cast<std::uint32_t>(hops_.size());
   traces_.push_back(header);
   hops_.insert(hops_.end(), other.hops_.begin() + hop_begin,
                other.hops_.begin() + hop_end);
+}
+
+void CompactTraceLog::Reserve(std::size_t traces, std::size_t hops) {
+  traces_.reserve(traces_.size() + traces);
+  hops_.reserve(hops_.size() + hops);
 }
 
 probe::TraceResult CompactTraceLog::Inflate(std::size_t i) const {
@@ -55,9 +58,7 @@ probe::TraceResult CompactTraceLog::Inflate(std::size_t i) const {
 void CompactTraceLog::InflateInto(std::size_t i,
                                   probe::TraceResult& out) const {
   const Header& header = traces_.at(i);
-  const std::size_t hop_end = i + 1 < traces_.size()
-                                  ? traces_[i + 1].hop_begin
-                                  : hops_.size();
+  const std::size_t hop_end = HopEnd(i);
 
   out.source = header.source;
   out.target = header.target;

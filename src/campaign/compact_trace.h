@@ -42,14 +42,27 @@ class CompactTraceLog {
   /// into a fresh per-VP log without an Inflate/Append round trip.
   void AppendFrom(const CompactTraceLog& other, std::size_t i);
 
+  /// Reserves room for exactly `traces` more traces of `hops` hops in
+  /// all, so a log rebuilt from a known set of traces holds no slack.
+  void Reserve(std::size_t traces, std::size_t hops);
+
   [[nodiscard]] std::size_t size() const { return traces_.size(); }
   [[nodiscard]] bool empty() const { return traces_.empty(); }
   [[nodiscard]] std::size_t hop_count() const { return hops_.size(); }
+  /// Hops stored for trace `i`.
+  [[nodiscard]] std::size_t HopsOf(std::size_t i) const {
+    return HopEnd(i) - traces_[i].hop_begin;
+  }
+
+  /// Bytes that `traces` traces of `hops` hops in all take in a log.
+  [[nodiscard]] static constexpr std::size_t BytesFor(std::size_t traces,
+                                                      std::size_t hops) {
+    return traces * sizeof(Header) + hops * sizeof(PackedHop);
+  }
 
   /// Bytes retained, for memory accounting in benches/tests.
   [[nodiscard]] std::size_t RetainedBytes() const {
-    return traces_.capacity() * sizeof(Header) +
-           hops_.capacity() * sizeof(PackedHop);
+    return BytesFor(traces_.capacity(), hops_.capacity());
   }
 
  private:
@@ -66,6 +79,11 @@ class CompactTraceLog {
     std::uint8_t reply_kind = 0;
     std::uint8_t reply_ip_ttl = 0;
   };
+
+  /// One past trace `i`'s last hop in hops_.
+  [[nodiscard]] std::size_t HopEnd(std::size_t i) const {
+    return i + 1 < traces_.size() ? traces_[i + 1].hop_begin : hops_.size();
+  }
 
   std::vector<Header> traces_;
   std::vector<PackedHop> hops_;

@@ -1,13 +1,62 @@
 #include "campaign/trace_cache.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "netbase/contracts.h"
 
 namespace wormhole::campaign {
+namespace {
 
-void TraceCache::Begin(const topo::Topology& topology,
-                       std::size_t vp_count) {
+using Index = std::unordered_map<std::uint32_t, std::uint32_t>;
+
+/// Find can serve `entry` again: the index points at it and it carries
+/// the current epoch (Find needs the exact epoch, and epochs only grow).
+template <typename E>
+bool CanHit(const E& entry, std::uint64_t epoch) {
+  return !entry.superseded && entry.epoch == epoch;
+}
+
+/// Points `index` at the entry about to be appended to `entries` for
+/// `target`, marking the entry it replaces superseded.
+template <typename E>
+void IndexNewest(std::vector<E>& entries, Index& index,
+                 netbase::Ipv4Address target) {
+  const auto newest = static_cast<std::uint32_t>(entries.size());
+  const auto [it, inserted] = index.try_emplace(target.value(), newest);
+  if (inserted) return;
+  entries[it->second].superseded = true;
+  it->second = newest;
+}
+
+/// Keeps the `live` entries that can hit at `epoch`, in recorded order,
+/// after `rehome` moves each one's out-of-line bytes; remaps `index` in
+/// place and erases the targets whose newest entry is dropped.
+template <typename E, typename Rehome>
+void KeepLive(std::vector<E>& entries, Index& index, std::size_t live,
+              std::uint64_t epoch, Rehome rehome) {
+  std::vector<E> kept;
+  kept.reserve(live);
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    E& entry = entries[i];
+    if (!CanHit(entry, epoch)) {
+      if (!entry.superseded) index.erase(entry.target.value());
+      continue;
+    }
+    const auto it = index.find(entry.target.value());
+    WORMHOLE_DCHECK(it != index.end() && it->second == i,
+                    "an unsuperseded entry is its target's newest");
+    it->second = static_cast<std::uint32_t>(kept.size());
+    rehome(entry);
+    kept.push_back(entry);
+  }
+  entries = std::move(kept);
+}
+
+}  // namespace
+
+void TraceCache::Begin(const topo::Topology& topology, std::size_t vp_count,
+                       std::uint64_t epoch) {
   if (topology_ != &topology || vp_count_ != vp_count) {
     slots_.clear();
     ping_slots_.clear();
@@ -16,6 +65,61 @@ void TraceCache::Begin(const topo::Topology& topology,
   }
   slots_.resize(2 * vp_count_);
   ping_slots_.resize(vp_count_);
+  for (Slot& slot : slots_) Compact(slot, epoch);
+  for (PingSlot& slot : ping_slots_) Compact(slot, epoch);
+}
+
+void TraceCache::Compact(Slot& slot, std::uint64_t epoch) {
+  // Bytes as RetainedBytes counts them: log header and hops, the Entry,
+  // its AS slice.
+  std::size_t live = 0;
+  std::size_t live_hops = 0;
+  std::size_t live_ases = 0;
+  std::size_t live_bytes = 0;
+  std::size_t dead_bytes = 0;
+  for (const Entry& entry : slot.entries) {
+    const std::size_t hops = slot.log.HopsOf(entry.trace_index);
+    const std::size_t ases = entry.as_end - entry.as_begin;
+    const std::size_t bytes = CompactTraceLog::BytesFor(1, hops) +
+                              sizeof(Entry) + ases * sizeof(topo::AsNumber);
+    if (!CanHit(entry, epoch)) {
+      dead_bytes += bytes;
+      continue;
+    }
+    ++live;
+    live_hops += hops;
+    live_ases += ases;
+    live_bytes += bytes;
+  }
+  if (dead_bytes <= live_bytes) return;
+
+  CompactTraceLog log;
+  log.Reserve(live, live_hops);
+  std::vector<topo::AsNumber> as_pool;
+  as_pool.reserve(live_ases);
+  KeepLive(slot.entries, slot.index, live, epoch, [&](Entry& entry) {
+    const auto trace_index = static_cast<std::uint32_t>(log.size());
+    log.AppendFrom(slot.log, entry.trace_index);
+    entry.trace_index = trace_index;
+    const auto as_begin = static_cast<std::uint32_t>(as_pool.size());
+    as_pool.insert(as_pool.end(), slot.as_pool.begin() + entry.as_begin,
+                   slot.as_pool.begin() + entry.as_end);
+    entry.as_begin = as_begin;
+    entry.as_end = static_cast<std::uint32_t>(as_pool.size());
+  });
+  slot.log = std::move(log);
+  slot.as_pool = std::move(as_pool);
+}
+
+void TraceCache::Compact(PingSlot& slot, std::uint64_t epoch) {
+  // Every ping entry costs sizeof(PingEntry), so comparing bytes is
+  // comparing counts.
+  std::size_t live = 0;
+  for (const PingEntry& entry : slot.entries) {
+    if (CanHit(entry, epoch)) ++live;
+  }
+  if (slot.entries.size() - live <= live) return;
+  KeepLive(slot.entries, slot.index, live, epoch, [](PingEntry&) {});
 }
 
 const TraceCache::Slot& TraceCache::SlotOf(Phase phase,
@@ -95,8 +199,7 @@ void TraceCache::Record(Phase phase, std::size_t vp,
   entry.as_end = static_cast<std::uint32_t>(slot.as_pool.size());
 
   slot.log.Append(trace);
-  slot.index[trace.target.value()] =
-      static_cast<std::uint32_t>(slot.entries.size());
+  IndexNewest(slot.entries, slot.index, trace.target);
   slot.entries.push_back(entry);
 }
 
@@ -117,7 +220,7 @@ TraceCache::PingLookup TraceCache::FindPing(std::size_t vp,
   if (strict_offsets && entry.start_probe_count != probes_sent) return {};
   PingLookup lookup;
   lookup.hit = true;
-  lookup.result.target = entry.address;
+  lookup.result.target = entry.target;
   lookup.result.responded = entry.responded;
   lookup.result.reply_ip_ttl = entry.reply_ip_ttl;
   lookup.result.rtt_ms = entry.rtt_ms;
@@ -139,7 +242,7 @@ void TraceCache::RecordPing(std::size_t vp, netbase::Ipv4Address source,
   WORMHOLE_DCHECK(slot.vantage_point == source,
                   "one ping slot per vantage point");
   PingEntry entry;
-  entry.address = ping.target;
+  entry.target = ping.target;
   entry.asn = AddressAs(ping.target);
   entry.epoch = epoch;
   entry.start_probe_count = start_probe_count;
@@ -147,8 +250,7 @@ void TraceCache::RecordPing(std::size_t vp, netbase::Ipv4Address source,
   entry.responded = ping.responded;
   entry.reply_ip_ttl = ping.reply_ip_ttl;
   entry.rtt_ms = ping.rtt_ms;
-  slot.index[ping.target.value()] =
-      static_cast<std::uint32_t>(slot.entries.size());
+  IndexNewest(slot.entries, slot.index, ping.target);
   slot.entries.push_back(entry);
 }
 
@@ -218,16 +320,16 @@ void TraceCache::Invalidate(const routing::ConvergenceDelta& delta,
       if (!slot->bound || slot->entries.empty()) continue;
       WORMHOLE_DCHECK(slot->vantage_point == vantage_point,
                       "phase slots of one VP share the vantage point");
-      // Walking the flat entries vector visits superseded entries too,
-      // but they sit at older epochs (their replacement was recorded at
-      // the epoch that superseded them), so the promotability test
-      // skips them; only live entries can move. Promotion is per-entry,
-      // so visit order cannot change the outcome.
+      // Walking the flat entries vector visits superseded entries too.
+      // They may carry the previous epoch (under strict offsets a
+      // re-trace supersedes an entry of its own epoch), so their mark,
+      // not their epoch, skips them. Promotion is per-entry, so visit
+      // order cannot change the outcome.
       for (Entry& entry : slot->entries) {
         // Only previous-epoch entries are promotable; older ones
         // already miss and will be re-traced (self-healing after an
         // uninvalidated reconvergence).
-        if (entry.epoch + 1 != delta.epoch) continue;
+        if (entry.superseded || entry.epoch + 1 != delta.epoch) continue;
         if (delta.scope == routing::ConvergenceDelta::Scope::kNone) {
           entry.epoch = delta.epoch;
           continue;
@@ -260,29 +362,23 @@ void TraceCache::Invalidate(const routing::ConvergenceDelta& delta,
     // responder (the address itself), so the footprint scan collapses
     // to one reply-path check of its AS.
     for (PingEntry& entry : pings.entries) {
-      if (entry.epoch + 1 != delta.epoch) continue;
+      if (entry.superseded || entry.epoch + 1 != delta.epoch) continue;
       if (delta.scope == routing::ConvergenceDelta::Scope::kNone) {
         entry.epoch = delta.epoch;
         continue;
       }
       bool dirty = entry.asn == 0 || vp_as == 0;
-      if (!dirty && delta.touched_aggregate.Contains(entry.address)) {
+      if (!dirty && delta.touched_aggregate.Contains(entry.target)) {
         dirty = true;
       }
       if (!dirty) dirty = reply_path_touched(entry.asn);
       if (!dirty) {
-        dirty = forward.Dirty(entry.address,
-                              oracle.BlockOwnerOf(entry.address));
+        dirty = forward.Dirty(entry.target,
+                              oracle.BlockOwnerOf(entry.target));
       }
       if (!dirty) entry.epoch = delta.epoch;
     }
   }
-}
-
-std::size_t TraceCache::entry_count() const {
-  std::size_t live = 0;
-  for (const Slot& slot : slots_) live += slot.index.size();
-  return live;
 }
 
 std::size_t TraceCache::RetainedBytes() const {

@@ -21,11 +21,20 @@
 // cached: it is multi-probe, state-dependent inference and re-running it
 // live against the current epoch is what keeps delta runs exact.
 //
-// Memory model: v1 never evicts. A re-probed target overwrites its index
-// slot; the superseded packed bytes stay in the log until the next global
-// reconvergence resets the slot. Per entry the steady-state cost is
-// sizeof(Entry) (~40 B) + 16 B header + 8 B per hop + the AS-set slice
-// (4 B per distinct AS on the path).
+// Memory model: an entry can hit again only while its slot's index points
+// at it and it carries the current convergence epoch (Find needs the exact
+// epoch, and epochs only grow). Every other entry is dead: superseded by a
+// re-probe of its target (marked when Record or RecordPing overwrites the
+// index slot, since under strict offsets the replacement may carry the
+// same epoch), left stale by Invalidate, or left behind by a reconvergence
+// nobody invalidated. Begin, which runs at the start of every RunDelta,
+// compacts each (phase, vp) slot and each ping slot whose dead bytes
+// exceed its live bytes: it rewrites the log, entries and AS pool with
+// only the live entries, in recorded order, and remaps the index in
+// place. So after any loss-free RunDelta RetainedBytes stays within twice
+// the live bytes plus vector growth slack and the index. An entry costs
+// sizeof(Entry) (40 B) + 16 B header + 8 B per hop + the AS-set slice
+// (4 B per distinct AS on the path); a ping entry sizeof(PingEntry).
 //
 // Thread safety: Begin and Invalidate require exclusivity. Find / Record
 // / LogOf touch only the (phase, vp) slot they name, so any number of
@@ -54,16 +63,20 @@ class TraceCache {
 
   struct Lookup {
     bool hit = false;
-    /// Index into LogOf(phase, vp) when hit.
+    /// Index into LogOf(phase, vp) when hit, until the next Begin.
     std::uint32_t trace_index = 0;
     /// Probe ids the cached trace consumed (Prober::SkipProbes replay).
     std::uint64_t probes_used = 0;
   };
 
-  /// Binds the cache to a topology and sizes the slot table; idempotent
-  /// while the vantage-point count is unchanged, resets everything when
-  /// it changes. `topology` must outlive the cache.
-  void Begin(const topo::Topology& topology, std::size_t vp_count);
+  /// Binds the cache to a topology and sizes the slot table; resets
+  /// everything when the topology or the vantage-point count changes.
+  /// Then compacts every slot whose dead bytes exceed its live bytes,
+  /// keeping only the entries that can still hit at `epoch` (the current
+  /// convergence epoch); lookups answer as before. `topology` must
+  /// outlive the cache.
+  void Begin(const topo::Topology& topology, std::size_t vp_count,
+             std::uint64_t epoch);
 
   /// Cache probe for one (phase, vp, target) pair. A hit requires the
   /// entry to carry `epoch` exactly; when `strict_offsets` (lossy worlds:
@@ -119,9 +132,6 @@ class TraceCache {
   void Invalidate(const routing::ConvergenceDelta& delta,
                   const routing::AsPathOracle& oracle);
 
-  /// Live entries currently stored (dead superseded entries excluded).
-  [[nodiscard]] std::size_t entry_count() const;
-
   /// Bytes retained by logs, entries, AS slices and indexes (bench/test
   /// memory accounting).
   [[nodiscard]] std::size_t RetainedBytes() const;
@@ -139,25 +149,31 @@ class TraceCache {
     std::uint32_t as_end = 0;
     /// Some address did not resolve to an AS — always dirty.
     bool any_unknown_as = false;
+    /// The index points at a newer entry for the target: never hits again.
+    bool superseded = false;
   };
+  static_assert(sizeof(Entry) <= 40, "the superseded mark fills padding");
   struct Slot {
     netbase::Ipv4Address vantage_point{};
     topo::AsNumber vp_as = 0;
     bool bound = false;
     CompactTraceLog log;
     std::vector<Entry> entries;
-    /// target address value -> index of the LIVE entry for that target.
+    /// target address value -> index of the newest entry for that target.
     std::unordered_map<std::uint32_t, std::uint32_t> index;
     std::vector<topo::AsNumber> as_pool;
   };
   struct PingEntry {
-    netbase::Ipv4Address address;
-    /// AddressAs(address) at record time; 0 (unresolved) = always dirty.
+    /// The pinged address.
+    netbase::Ipv4Address target;
+    /// AddressAs(target) at record time; 0 (unresolved) = always dirty.
     topo::AsNumber asn = 0;
     std::uint64_t epoch = 0;
     std::uint64_t start_probe_count = 0;
     std::uint32_t probes_used = 0;
     bool responded = false;
+    /// As Entry::superseded.
+    bool superseded = false;
     int reply_ip_ttl = 0;
     double rtt_ms = 0.0;
   };
@@ -166,7 +182,7 @@ class TraceCache {
     topo::AsNumber vp_as = 0;
     bool bound = false;
     std::vector<PingEntry> entries;
-    /// pinged address value -> index of the LIVE entry for it.
+    /// pinged address value -> index of the newest entry for it.
     std::unordered_map<std::uint32_t, std::uint32_t> index;
   };
 
@@ -175,6 +191,10 @@ class TraceCache {
   /// The AS of the router owning `address`, or of the gateway of the
   /// host owning it; 0 when neither resolves.
   [[nodiscard]] topo::AsNumber AddressAs(netbase::Ipv4Address address) const;
+  /// Rewrites `slot` with only its entries that can hit at `epoch` once
+  /// their bytes are outweighed by those of the entries that cannot.
+  static void Compact(Slot& slot, std::uint64_t epoch);
+  static void Compact(PingSlot& slot, std::uint64_t epoch);
 
   const topo::Topology* topology_ = nullptr;
   std::size_t vp_count_ = 0;

@@ -10,8 +10,10 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/campaign_report.h"
@@ -19,6 +21,7 @@
 #include "campaign/trace_cache.h"
 #include "gen/internet.h"
 #include "mpls/ldp.h"
+#include "probe/trace.h"
 #include "routing/as_path.h"
 #include "routing/delta.h"
 #include "routing/fib.h"
@@ -295,6 +298,76 @@ std::string ColdBytes(gen::SyntheticInternet& world,
   return CampaignBytes(cold.Run(targets), world.topology());
 }
 
+/// A deterministic flap storm: each Flap toggles one link that an LCG
+/// draws from `links`, so links go down and later come back up
+/// interleaved, and returns the reconvergence's delta.
+class FlapStorm {
+ public:
+  FlapStorm(gen::SyntheticInternet& world, std::vector<topo::LinkId> links,
+            std::uint64_t seed)
+      : world_(world), links_(std::move(links)), x_(seed) {}
+
+  routing::ConvergenceDelta Flap() {
+    x_ = x_ * 6364136223846793005ull + 1442695040888963407ull;
+    const topo::LinkId link = links_[(x_ >> 33) % links_.size()];
+    topo::Topology& topology = world_.mutable_topology();
+    topology.SetLinkUp(link, !topology.link(link).up);
+    return world_.network().OnLinkStateChange(link);
+  }
+
+ private:
+  gen::SyntheticInternet& world_;
+  std::vector<topo::LinkId> links_;
+  std::uint64_t x_;
+};
+
+std::vector<topo::LinkId> AllLinks(const gen::SyntheticInternet& world) {
+  std::vector<topo::LinkId> links(world.topology().link_count());
+  for (topo::LinkId l = 0; l < links.size(); ++l) links[l] = l;
+  return links;
+}
+
+/// The links inside one AS: their flaps are kIntraAs deltas, which never
+/// reset the cache the way a kGlobal delta does.
+std::vector<topo::LinkId> InternalLinks(const gen::SyntheticInternet& world) {
+  std::vector<topo::LinkId> links;
+  for (const topo::LinkId l : AllLinks(world)) {
+    if (world.topology().IsInternalLink(l)) links.push_back(l);
+  }
+  return links;
+}
+
+void Invalidate(campaign::TraceCache& cache, gen::SyntheticInternet& world,
+                const routing::ConvergenceDelta& delta) {
+  const routing::AsPathOracle oracle(world.topology(),
+                                     world.network().bgp_level(),
+                                     world.network().bgp_policy());
+  cache.Invalidate(delta, oracle);
+}
+
+/// Runs the Begin that RunDelta starts with and reports whether it
+/// compacted: short of a kGlobal reset, only a compaction shrinks a cache.
+bool Compacts(campaign::TraceCache& cache, gen::SyntheticInternet& world) {
+  const std::size_t before = cache.RetainedBytes();
+  cache.Begin(world.topology(), world.vantage_points().size(),
+              world.engine().convergence_epoch());
+  return cache.RetainedBytes() < before;
+}
+
+/// The RetainedBytes a long-lived cache may hold at the world's current
+/// state: 4x those of a fresh cache filled by one RunDelta. A cache keeps
+/// as many dead bytes as live ones before it compacts (2x), and its
+/// vectors may be up to twice as long as their contents (2x again); a
+/// fresh fill holds just the live entries.
+std::size_t MemoryBound(gen::SyntheticInternet& world,
+                        const std::vector<netbase::Ipv4Address>& targets,
+                        const campaign::CampaignOptions& options) {
+  campaign::Campaign fresh(world.engine(), world.vantage_points(), options);
+  campaign::TraceCache cache;
+  (void)fresh.RunDelta(targets, cache);
+  return 4 * cache.RetainedBytes();
+}
+
 void ExhaustiveFlapParity(bool hierarchical) {
   gen::SyntheticInternet world(TinyWorld(hierarchical));
   topo::Topology& topology = world.mutable_topology();
@@ -347,33 +420,71 @@ TEST(DeltaReprobe, ExhaustiveFlapParityHierarchical) {
 
 TEST(DeltaReprobe, FlapStormMatchesColdAtEveryStep) {
   gen::SyntheticInternet world(SmallWorld());
-  topo::Topology& topology = world.mutable_topology();
+  const topo::Topology& topology = world.topology();
   const auto targets = world.AllLoopbacks();
   campaign::Campaign delta_campaign(world.engine(), world.vantage_points(),
                                     DeltaCampaignOptions(/*jobs=*/2));
   campaign::TraceCache cache;
   (void)delta_campaign.RunDelta(targets, cache);
 
-  // A deterministic storm: walk a fixed stride over the link table,
-  // toggling each visited link's state (so links go down and later come
-  // back up in an interleaved pattern).
-  std::vector<bool> is_up(topology.link_count(), true);
-  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  FlapStorm storm(world, AllLinks(world), 0x9E3779B97F4A7C15ull);
   for (int flap = 0; flap < 6; ++flap) {
-    x = x * 6364136223846793005ull + 1442695040888963407ull;
-    const topo::LinkId link =
-        static_cast<topo::LinkId>((x >> 33) % topology.link_count());
-    is_up[link] = !is_up[link];
-    topology.SetLinkUp(link, is_up[link]);
-    const routing::ConvergenceDelta delta =
-        world.network().OnLinkStateChange(link);
-    const routing::AsPathOracle oracle(topology,
-                                       world.network().bgp_level(),
-                                       world.network().bgp_policy());
-    cache.Invalidate(delta, oracle);
+    Invalidate(cache, world, storm.Flap());
     const auto result = delta_campaign.RunDelta(targets, cache);
     ExpectSameDump(CampaignBytes(result, topology),
                    ColdBytes(world, targets));
+  }
+}
+
+TEST(DeltaReprobe, FlapStormStaysWithinMemoryBound) {
+  // Intra-AS flaps only: a kGlobal delta empties the cache, which would
+  // bound it for free. Each flap leaves its dirty pairs' old entries
+  // dead, so a cache that never drops them outgrows the bound long before
+  // the storm ends.
+  gen::SyntheticInternet world(SmallWorld());
+  const topo::Topology& topology = world.topology();
+  const auto targets = world.AllLoopbacks();
+  const campaign::CampaignOptions options = DeltaCampaignOptions(/*jobs=*/2);
+  campaign::Campaign delta_campaign(world.engine(), world.vantage_points(),
+                                    options);
+  campaign::TraceCache cache;
+  (void)delta_campaign.RunDelta(targets, cache);
+
+  FlapStorm storm(world, InternalLinks(world), 0x2545F4914F6CDD1Dull);
+  for (int flap = 0; flap < 200; ++flap) {
+    const routing::ConvergenceDelta delta = storm.Flap();
+    ASSERT_NE(delta.scope, routing::ConvergenceDelta::Scope::kGlobal);
+    Invalidate(cache, world, delta);
+    const auto result = delta_campaign.RunDelta(targets, cache);
+    ExpectSameDump(CampaignBytes(result, topology),
+                   ColdBytes(world, targets));
+    ASSERT_LE(cache.RetainedBytes(), MemoryBound(world, targets, options))
+        << "after flap " << flap;
+  }
+}
+
+TEST(DeltaReprobe, EpochMovesWithoutInvalidateStayWithinMemoryBound) {
+  // An owner that reconverges without invalidating leaves every entry an
+  // epoch behind: each RunDelta re-traces every pair (the cache heals
+  // itself), and its Begin drops the entries the previous runs left.
+  gen::SyntheticInternet world(SmallWorld());
+  const topo::Topology& topology = world.topology();
+  const auto targets = world.AllLoopbacks();
+  const campaign::CampaignOptions options = DeltaCampaignOptions(/*jobs=*/2);
+  campaign::Campaign delta_campaign(world.engine(), world.vantage_points(),
+                                    options);
+  campaign::TraceCache cache;
+  (void)delta_campaign.RunDelta(targets, cache);
+
+  FlapStorm storm(world, AllLinks(world), 0xA0761D6478BD642Full);
+  for (int flap = 0; flap < 8; ++flap) {
+    (void)storm.Flap();
+    const auto result = delta_campaign.RunDelta(targets, cache);
+    EXPECT_EQ(result.delta_pairs_reprobed, result.delta_pairs_total);
+    ExpectSameDump(CampaignBytes(result, topology),
+                   ColdBytes(world, targets));
+    ASSERT_LE(cache.RetainedBytes(), MemoryBound(world, targets, options))
+        << "after flap " << flap;
   }
 }
 
@@ -383,12 +494,16 @@ TEST(DeltaReprobe, LossyFlapStormAtShardOneMatchesCold) {
   // offsets). Shard size 1 puts an epoch check and a cache decision
   // between every two traces, the storm moves routes under the cache, and
   // every flap bumps the epoch that empties the probers' reply memos —
-  // all three at once, against a cold campaign at every step.
+  // all three at once, against a cold campaign at every step. Once a
+  // VP's re-probe shifts its ids, every later pair of that VP is re-traced
+  // at the epoch its entry already carries, so each run supersedes
+  // entries of its own epoch; the storm runs until such entries have
+  // gone through compactions, under the memory bound.
   gen::InternetOptions options = SmallWorld();
   options.icmp_loss = 0.05;
   gen::SyntheticInternet world(options);
   ASSERT_TRUE(world.engine().RepliesDependOnProbeIds());
-  topo::Topology& topology = world.mutable_topology();
+  const topo::Topology& topology = world.topology();
   const auto targets = world.AllLoopbacks();
   campaign::CampaignOptions delta_options = DeltaCampaignOptions(/*jobs=*/2);
   delta_options.stream_shard_size = 1;
@@ -399,46 +514,41 @@ TEST(DeltaReprobe, LossyFlapStormAtShardOneMatchesCold) {
       CampaignBytes(delta_campaign.RunDelta(targets, cache), topology),
       ColdBytes(world, targets));
 
-  std::vector<bool> is_up(topology.link_count(), true);
-  std::uint64_t x = 0xD1B54A32D192ED03ull;
+  FlapStorm storm(world, AllLinks(world), 0xD1B54A32D192ED03ull);
   std::uint64_t pairs_total = 0;
   std::uint64_t pairs_reprobed = 0;
-  for (int flap = 0; flap < 8; ++flap) {
-    x = x * 6364136223846793005ull + 1442695040888963407ull;
-    const topo::LinkId link =
-        static_cast<topo::LinkId>((x >> 33) % topology.link_count());
-    is_up[link] = !is_up[link];
-    topology.SetLinkUp(link, is_up[link]);
-    const routing::ConvergenceDelta delta =
-        world.network().OnLinkStateChange(link);
-    const routing::AsPathOracle oracle(topology,
-                                       world.network().bgp_level(),
-                                       world.network().bgp_policy());
-    cache.Invalidate(delta, oracle);
+  int compactions = 0;
+  for (int flap = 0; flap < 16; ++flap) {
+    Invalidate(cache, world, storm.Flap());
+    if (Compacts(cache, world)) ++compactions;
     const auto result = delta_campaign.RunDelta(targets, cache);
     pairs_total += result.delta_pairs_total;
     pairs_reprobed += result.delta_pairs_reprobed;
     ExpectSameDump(CampaignBytes(result, topology),
                    ColdBytes(world, targets));
+    ASSERT_LE(cache.RetainedBytes(),
+              MemoryBound(world, targets, delta_options))
+        << "after flap " << flap;
   }
   // Strict offsets still let the cache serve the pairs before a VP's
   // first re-probe, so the storm exercised both sides of each decision.
   ASSERT_GT(pairs_total, 0u);
   EXPECT_LT(pairs_reprobed, pairs_total);
   EXPECT_GT(pairs_reprobed, 0u);
+  EXPECT_GT(compactions, 1);
 }
 
 // Runs in the TSan CI matrix: four worker threads serve cache hits and
 // record re-probes into their own (phase, vp) slots concurrently over a
-// warm cache. Any cross-slot write (or a Begin/Invalidate racing the
-// fan-out) is a TSan report; the byte check pins that concurrency also
-// changed nothing.
+// warm cache that has compacted. Any cross-slot write (or a
+// Begin/Invalidate racing the fan-out) is a TSan report; the byte check
+// pins that concurrency also changed nothing.
 TEST(DeltaReprobe, ConcurrentCacheReadsAndReprobes) {
   gen::InternetOptions options = TinyWorld(/*hierarchical=*/false);
   options.vp_count = 4;
   options.stub_count = 6;
   gen::SyntheticInternet world(options);
-  topo::Topology& topology = world.mutable_topology();
+  const topo::Topology& topology = world.topology();
   const auto targets = world.AllLoopbacks();
 
   campaign::Campaign serial(world.engine(), world.vantage_points(),
@@ -450,23 +560,201 @@ TEST(DeltaReprobe, ConcurrentCacheReadsAndReprobes) {
   (void)serial.RunDelta(targets, serial_cache);
   (void)parallel.RunDelta(targets, parallel_cache);
 
-  const topo::LinkId link = topo::LinkId{0};
-  topology.SetLinkUp(link, false);
-  const routing::ConvergenceDelta delta =
-      world.network().OnLinkStateChange(link);
-  const routing::AsPathOracle oracle(topology, world.network().bgp_level(),
-                                     world.network().bgp_policy());
-  serial_cache.Invalidate(delta, oracle);
-  parallel_cache.Invalidate(delta, oracle);
+  // Flap until a Begin compacts the parallel cache; the fan-out after it
+  // reads the rewritten slots.
+  FlapStorm storm(world, InternalLinks(world), 0x9FB21C651E98DF25ull);
+  bool compacted = false;
+  for (int flap = 0; flap < 32 && !compacted; ++flap) {
+    const routing::ConvergenceDelta delta = storm.Flap();
+    Invalidate(serial_cache, world, delta);
+    Invalidate(parallel_cache, world, delta);
+    compacted = Compacts(parallel_cache, world);
 
-  const auto serial_result = serial.RunDelta(targets, serial_cache);
-  const auto parallel_result = parallel.RunDelta(targets, parallel_cache);
-  ExpectSameDump(CampaignBytes(parallel_result, topology),
-                 CampaignBytes(serial_result, topology));
-  EXPECT_EQ(parallel_result.delta_pairs_total,
-            serial_result.delta_pairs_total);
-  EXPECT_EQ(parallel_result.delta_pairs_reprobed,
-            serial_result.delta_pairs_reprobed);
+    const auto serial_result = serial.RunDelta(targets, serial_cache);
+    const auto parallel_result = parallel.RunDelta(targets, parallel_cache);
+    ExpectSameDump(CampaignBytes(parallel_result, topology),
+                   CampaignBytes(serial_result, topology));
+    EXPECT_EQ(parallel_result.delta_pairs_total,
+              serial_result.delta_pairs_total);
+    EXPECT_EQ(parallel_result.delta_pairs_reprobed,
+              serial_result.delta_pairs_reprobed);
+  }
+  EXPECT_TRUE(compacted);
+}
+
+/// Every field of `trace` that CompactTraceLog keeps, one line per hop.
+std::string TraceText(const probe::TraceResult& trace) {
+  std::ostringstream out;
+  out << trace.source.ToString() << " > " << trace.target.ToString()
+      << " flow " << trace.flow_id << " reached " << trace.reached
+      << " unreachable " << trace.unreachable << "\n";
+  for (const probe::Hop& hop : trace.hops) {
+    out << hop.probe_ttl << " "
+        << (hop.address ? hop.address->ToString() : std::string("*")) << " "
+        << static_cast<int>(hop.reply_kind) << " " << hop.reply_ip_ttl
+        << "\n";
+  }
+  return out.str();
+}
+
+/// `got` and `want` answer every trace and ping lookup at the engine's
+/// epoch alike, for any vantage point and any router or host address,
+/// and the hits serve the same bytes and id budgets.
+void ExpectSameHits(const campaign::TraceCache& got,
+                    const campaign::TraceCache& want,
+                    gen::SyntheticInternet& world) {
+  const std::uint64_t epoch = world.engine().convergence_epoch();
+  std::vector<netbase::Ipv4Address> addresses;
+  for (const topo::Interface& iface : world.topology().interfaces()) {
+    addresses.push_back(iface.address);
+  }
+  for (const topo::Host& host : world.topology().hosts()) {
+    addresses.push_back(host.address);
+  }
+  std::size_t hits = 0;
+  for (std::size_t vp = 0; vp < world.vantage_points().size(); ++vp) {
+    for (const auto phase : {campaign::TraceCache::Phase::kDiscovery,
+                             campaign::TraceCache::Phase::kTargeted}) {
+      for (const netbase::Ipv4Address address : addresses) {
+        const auto a = got.Find(phase, vp, address, epoch, 0, false);
+        const auto b = want.Find(phase, vp, address, epoch, 0, false);
+        ASSERT_EQ(a.hit, b.hit) << "vp " << vp << " " << address.ToString();
+        if (!a.hit) continue;
+        ++hits;
+        EXPECT_EQ(a.probes_used, b.probes_used);
+        EXPECT_EQ(TraceText(got.LogOf(phase, vp).Inflate(a.trace_index)),
+                  TraceText(want.LogOf(phase, vp).Inflate(b.trace_index)));
+      }
+    }
+    for (const netbase::Ipv4Address address : addresses) {
+      const auto a = got.FindPing(vp, address, epoch, 0, false);
+      const auto b = want.FindPing(vp, address, epoch, 0, false);
+      ASSERT_EQ(a.hit, b.hit) << "vp " << vp << " " << address.ToString();
+      if (!a.hit) continue;
+      ++hits;
+      EXPECT_EQ(a.probes_used, b.probes_used);
+      EXPECT_EQ(a.result.responded, b.result.responded);
+      EXPECT_EQ(a.result.reply_ip_ttl, b.result.reply_ip_ttl);
+      EXPECT_EQ(a.result.rtt_ms, b.result.rtt_ms);
+    }
+  }
+  EXPECT_GT(hits, 0u);
+}
+
+TEST(DeltaReprobe, CompactionKeepsEveryHitAndFootprint) {
+  // A copy taken before each Begin keeps every entry; the compacted cache
+  // must serve exactly what the copy serves, and after one more flap,
+  // invalidated in both, promote exactly what the copy promotes — which
+  // reads every kept entry's AS footprint.
+  gen::SyntheticInternet world(SmallWorld());
+  const auto targets = world.AllLoopbacks();
+  campaign::Campaign delta_campaign(world.engine(), world.vantage_points(),
+                                    DeltaCampaignOptions(/*jobs=*/2));
+  campaign::TraceCache cache;
+  (void)delta_campaign.RunDelta(targets, cache);
+
+  FlapStorm storm(world, InternalLinks(world), 0xE7037ED1A0B428DBull);
+  int compactions = 0;
+  for (int step = 0; step < 24; ++step) {
+    Invalidate(cache, world, storm.Flap());
+    campaign::TraceCache uncompacted = cache;
+    if (Compacts(cache, world)) {
+      ++compactions;
+      ExpectSameHits(cache, uncompacted, world);
+      const routing::ConvergenceDelta next = storm.Flap();
+      Invalidate(cache, world, next);
+      Invalidate(uncompacted, world, next);
+      ExpectSameHits(cache, uncompacted, world);
+    }
+    const auto result = delta_campaign.RunDelta(targets, cache);
+    ExpectSameDump(CampaignBytes(result, world.topology()),
+                   ColdBytes(world, targets));
+  }
+  EXPECT_GT(compactions, 0);
+}
+
+TEST(DeltaReprobe, CompactionDropsSameEpochSupersessions) {
+  // Under strict offsets a re-trace supersedes an entry of its own epoch,
+  // so only the mark Record leaves tells that entry is dead. Here one
+  // target is re-recorded many times at one epoch, another is recorded
+  // once at that epoch, and a third at the epoch before: Begin must keep
+  // exactly the newest entry of the first and the entry of the second.
+  gen::SyntheticInternet world(TinyWorld(/*hierarchical=*/false));
+  const topo::Topology& topology = world.topology();
+  const netbase::Ipv4Address vp = world.vantage_points().front();
+  const auto loopbacks = world.AllLoopbacks();
+  ASSERT_GE(loopbacks.size(), 3u);
+  const netbase::Ipv4Address churned = loopbacks[0];
+  const netbase::Ipv4Address steady = loopbacks[1];
+  const netbase::Ipv4Address stale = loopbacks[2];
+  constexpr std::uint64_t kEpoch = 5;
+  constexpr int kRecords = 40;
+  constexpr auto kPhase = campaign::TraceCache::Phase::kTargeted;
+
+  // Trace `k` of a target has k + 1 hops, so kept entries move in the log.
+  const auto trace_of = [&](netbase::Ipv4Address target, int k) {
+    probe::TraceResult trace;
+    trace.source = vp;
+    trace.target = target;
+    trace.flow_id = static_cast<std::uint16_t>(k);
+    for (int h = 0; h <= k; ++h) {
+      probe::Hop hop;
+      hop.probe_ttl = h + 1;
+      if (h % 3 != 2) {
+        hop.address = loopbacks.at(static_cast<std::size_t>(h % 3));
+        hop.reply_ip_ttl = 250 - h;
+      }
+      trace.hops.push_back(hop);
+    }
+    trace.reached = true;
+    return trace;
+  };
+  const auto ping_of = [&](netbase::Ipv4Address target, int k) {
+    probe::PingResult ping;
+    ping.target = target;
+    ping.responded = true;
+    ping.reply_ip_ttl = 200 + k;
+    ping.rtt_ms = k;
+    return ping;
+  };
+
+  // What compaction must leave: the live entries alone.
+  campaign::TraceCache want;
+  want.Begin(topology, 1, kEpoch);
+  want.Record(kPhase, 0, trace_of(steady, 3), kEpoch, 0, 4);
+  want.Record(kPhase, 0, trace_of(churned, kRecords), kEpoch, kRecords, 1);
+  want.RecordPing(0, vp, ping_of(steady, 3), kEpoch, 0, 1);
+  want.RecordPing(0, vp, ping_of(churned, kRecords), kEpoch, kRecords, 1);
+
+  campaign::TraceCache cache;
+  cache.Begin(topology, 1, kEpoch - 1);
+  cache.Record(kPhase, 0, trace_of(stale, 7), kEpoch - 1, 0, 8);
+  cache.RecordPing(0, vp, ping_of(stale, 7), kEpoch - 1, 0, 1);
+  for (int k = 1; k <= kRecords; ++k) {
+    if (k == kRecords / 2) {
+      cache.Record(kPhase, 0, trace_of(steady, 3), kEpoch, 0, 4);
+      cache.RecordPing(0, vp, ping_of(steady, 3), kEpoch, 0, 1);
+    }
+    cache.Record(kPhase, 0, trace_of(churned, k), kEpoch, k, 1);
+    cache.RecordPing(0, vp, ping_of(churned, k), kEpoch, k, 1);
+  }
+  cache.Begin(topology, 1, kEpoch);
+
+  EXPECT_LE(cache.RetainedBytes(), want.RetainedBytes());
+  const auto expect_kept = [&](netbase::Ipv4Address target, int k,
+                               std::uint64_t offset) {
+    const auto hit = cache.Find(kPhase, 0, target, kEpoch, offset, true);
+    ASSERT_TRUE(hit.hit) << target.ToString();
+    EXPECT_EQ(TraceText(cache.LogOf(kPhase, 0).Inflate(hit.trace_index)),
+              TraceText(trace_of(target, k)));
+    const auto ping = cache.FindPing(0, target, kEpoch, offset, true);
+    ASSERT_TRUE(ping.hit) << target.ToString();
+    EXPECT_EQ(ping.result.reply_ip_ttl, 200 + k);
+  };
+  expect_kept(churned, kRecords, kRecords);
+  expect_kept(steady, 3, 0);
+  EXPECT_FALSE(cache.Find(kPhase, 0, stale, kEpoch - 1, 0, true).hit);
+  EXPECT_FALSE(cache.FindPing(0, stale, kEpoch - 1, 0, true).hit);
 }
 
 TEST(ConvergenceDelta, ReportsScopeEpochAndDroppedState) {

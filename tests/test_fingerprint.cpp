@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "fingerprint/signature.h"
 #include "gen/gns3.h"
 #include "probe/prober.h"
@@ -64,6 +66,13 @@ TEST_P(FingerprintVendorTest, InfersVendorFromProbes) {
   EXPECT_GE(classified, 4);
 }
 
+// Each case is named after its vendor ("JuniperJunosE").
+std::string VendorName(const ::testing::TestParamInfo<VendorCase>& info) {
+  std::string name = topo::ToString(info.param.vendor);
+  std::erase(name, ' ');
+  return name;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Vendors, FingerprintVendorTest,
     ::testing::Values(
@@ -72,7 +81,8 @@ INSTANTIATE_TEST_SUITE_P(
                    SignatureClass::kJuniperJunos},
         VendorCase{topo::Vendor::kJuniperJunosE,
                    SignatureClass::kJuniperJunosE},
-        VendorCase{topo::Vendor::kBrocade, SignatureClass::kBrocadeLinux}));
+        VendorCase{topo::Vendor::kBrocade, SignatureClass::kBrocadeLinux}),
+    VendorName);
 
 TEST(SignatureCollector, PartialSignatureIsNotClassified) {
   SignatureCollector collector;

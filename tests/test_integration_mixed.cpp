@@ -3,6 +3,8 @@
 // never collide and each steering mechanism must win where configured).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "mpls/rsvp_te.h"
 #include "mpls/segment_routing.h"
 #include "probe/multipath.h"
@@ -88,9 +90,19 @@ TEST_P(DiamondTunnelTest, MultipathEnumerationSeesBothHiddenBranches) {
   EXPECT_EQ(result.distinct_paths(), 2u);
 }
 
+// Each case is named after its LDP policy ("LoopbacksOnly").
+std::string PolicyName(const ::testing::TestParamInfo<mpls::LdpPolicy>& info) {
+  switch (info.param) {
+    case mpls::LdpPolicy::kAllPrefixes: return "AllPrefixes";
+    case mpls::LdpPolicy::kLoopbacksOnly: return "LoopbacksOnly";
+  }
+  return "Unknown";
+}
+
 INSTANTIATE_TEST_SUITE_P(Policies, DiamondTunnelTest,
                          ::testing::Values(mpls::LdpPolicy::kAllPrefixes,
-                                           mpls::LdpPolicy::kLoopbacksOnly));
+                                           mpls::LdpPolicy::kLoopbacksOnly),
+                         PolicyName);
 
 TEST(MixedControlPlanes, LdpTeAndSrCoexist) {
   // One AS, three steering mechanisms: LDP carries plain traffic, a TE
