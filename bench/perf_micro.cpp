@@ -449,10 +449,11 @@ gen::SyntheticInternet& ScalingWorldOfSize(int size) {
 void BM_CampaignScaling(benchmark::State& state) {
   // The streaming-campaign scaling surface. Args: (world size class,
   // discovery-target cap — 0 probes every loopback, stride-sampled
-  // otherwise — and stream shard size — 0 is the buffered pipeline).
-  // Compare shard=0 to shard>0 rows at fixed size/targets: same bytes
-  // out (tests/test_streaming_campaign.cpp), the peak_rss_mb counter is
-  // the difference. The targeted phase uses the paper's disjoint VP
+  // otherwise — and stream shard size: 0 is buffered mode, > 0 is
+  // streaming mode, and the magnitude is ignored). Compare shard=0 to
+  // shard>0 rows at fixed size/targets: same bytes out
+  // (tests/test_streaming_campaign.cpp), the peak_rss_mb counter is the
+  // difference. The targeted phase uses the paper's disjoint VP
   // shards (shard_targets) so target volume scales the work, not the
   // VP count.
   gen::SyntheticInternet& world =

@@ -1,8 +1,8 @@
 #include "campaign/campaign.h"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
-#include <set>
 
 #include "netbase/contracts.h"
 
@@ -50,237 +50,190 @@ Campaign::Campaign(const sim::Engine& engine,
   }
 }
 
-std::vector<std::vector<probe::TraceResult>> Campaign::TraceShards(
-    const std::vector<std::vector<netbase::Ipv4Address>>& shards) {
-  // One task per vantage point: probers_[vp] is touched by that task only,
-  // and it walks its shard in order, so the probe-id stream of every
-  // prober — and with it every simulated reply — is independent of the
-  // worker count and of scheduling.
-  std::vector<std::vector<probe::TraceResult>> per_vp(probers_.size());
-  exec::ParallelFor(pool_, probers_.size(), [&](std::size_t vp) {
-    per_vp[vp].reserve(shards[vp].size());
-    for (const netbase::Ipv4Address target : shards[vp]) {
-      per_vp[vp].push_back(
-          probers_[vp].Traceroute(target, options_.trace_options));
-    }
-  });
-  return per_vp;
-}
+namespace {
 
-std::vector<probe::TraceResult> Campaign::RunDiscovery(
-    const std::vector<netbase::Ipv4Address>& targets) {
-  const auto shards = ShardTargets(targets, probers_.size());
-  auto per_vp = TraceShards(shards);
+/// The ingress/egress address sets of the revelation map — the FRPLA
+/// responder-role classifier's inputs, computed once after the reduce.
+struct FrplaSets {
+  std::unordered_set<netbase::Ipv4Address> ingresses;
+  std::unordered_set<netbase::Ipv4Address> egresses;
+};
 
-  std::vector<probe::TraceResult> traces;
-  traces.reserve(targets.size());
-  for (auto& vp_traces : per_vp) {
-    for (auto& trace : vp_traces) traces.push_back(std::move(trace));
+FrplaSets FrplaSetsOf(const CampaignResult& result) {
+  FrplaSets sets;
+  for (const auto& [pair, revelation] : result.revelations) {
+    sets.ingresses.insert(pair.ingress);
+    sets.egresses.insert(pair.egress);
   }
-  return traces;
+  return sets;
 }
+
+/// Adds one trace's hop-level RFA samples.
+void FrplaFromTrace(const probe::TraceResult& trace, const FrplaSets& sets,
+                    CampaignResult& result) {
+  for (const probe::Hop& hop : trace.hops) {
+    if (!hop.address) continue;
+    if (hop.reply_kind != PacketKind::kTimeExceeded) continue;
+    // Egresses are handled by RfaSampleFromCandidate.
+    if (sets.egresses.contains(*hop.address)) continue;
+    const auto observation = reveal::ObserveRfa(hop);
+    if (!observation) continue;
+    const auto node = result.inferred.FindNode(*hop.address);
+    if (!node) continue;
+    const topo::AsNumber asn = result.inferred.node(*node).asn;
+    if (asn == 0) continue;
+
+    const reveal::ResponderRole role =
+        sets.ingresses.contains(*hop.address)
+            ? reveal::ResponderRole::kIngress
+            : reveal::ResponderRole::kOther;
+    result.frpla.Add(asn, role, *observation);
+  }
+}
+
+void RfaSampleFromCandidate(const CandidateRecord& record,
+                            CampaignResult& result) {
+  reveal::RfaObservation observation;
+  observation.responder = record.pair.egress;
+  observation.forward_length = record.egress_forward_ttl;
+  observation.return_length =
+      reveal::ReturnPathLength(record.egress_return_ttl);
+  result.frpla.Add(record.asn,
+                   record.revealed
+                       ? reveal::ResponderRole::kEgressRevealed
+                       : reveal::ResponderRole::kEgressHidden,
+                   observation);
+}
+
+/// Inflates every trace of `logs` in (vp, trace-index) order into one
+/// reused TraceResult and hands it to `fn(vp, trace)`.
+template <typename Fn>
+void Replay(const std::vector<CompactTraceLog>& logs, Fn&& fn) {
+  probe::TraceResult trace;
+  for (std::size_t vp = 0; vp < logs.size(); ++vp) {
+    for (std::size_t i = 0; i < logs[vp].size(); ++i) {
+      logs[vp].InflateInto(i, trace);
+      fn(vp, trace);
+    }
+  }
+}
+
+/// The per-VP traces concatenated in VP order.
+std::vector<probe::TraceResult> Flatten(
+    std::vector<std::vector<probe::TraceResult>>& per_vp) {
+  std::vector<probe::TraceResult> out;
+  for (auto& list : per_vp) std::ranges::move(list, std::back_inserter(out));
+  return out;
+}
+
+}  // namespace
 
 CampaignResult Campaign::Run(
     const std::vector<netbase::Ipv4Address>& discovery_targets) {
-  if (options_.stream_shard_size > 0) return RunStreaming(discovery_targets);
-  CampaignResult result;
-  const topo::Topology& topology = engine_->topology();
-  const AliasResolver resolver = TruthResolver(topology);
-
-  // Phase 0: plain discovery campaign; infer the (biased) dataset.
-  const auto discovery = RunDiscovery(discovery_targets);
-  result.inferred = BuildDataset(discovery, resolver, topology);
-
-  // Phase 1: HDN-guided probing.
-  result.targets = SelectTargets(result.inferred, options_.hdn_threshold);
-  const std::unordered_set<topo::NodeId> hdn_set(
-      result.targets.hdns.begin(), result.targets.hdns.end());
-  auto shards = options_.shard_targets
-                    ? ShardTargets(result.targets.all, probers_.size())
-                    : std::vector<std::vector<netbase::Ipv4Address>>(
-                          probers_.size(), result.targets.all);
-
-  // Probing (the traceroutes do not read the evolving dataset) runs
-  // concurrently across VP shards; the order-dependent part — dataset
-  // mutation, candidate analysis, revelation dedup — is a sequential
-  // reduce over the merged traces in (vp, target-index) order, exactly
-  // the order the sequential implementation used.
-  auto per_vp = TraceShards(shards);
-  std::size_t total_traces = 0;
-  for (const auto& vp_traces : per_vp) total_traces += vp_traces.size();
-
-  std::vector<std::optional<EndpointPair>> trace_pair;
-  trace_pair.reserve(total_traces);
-  result.traces.reserve(total_traces);
-  for (std::size_t vp = 0; vp < probers_.size(); ++vp) {
-    for (probe::TraceResult& trace : per_vp[vp]) {
-      AddTraceToDataset(result.inferred, trace, resolver, topology);
-      trace_pair.push_back(
-          AnalyzeTrace(trace, result, vp, probers_[vp], hdn_set));
-      result.traces.push_back(std::move(trace));
-    }
-  }
-  result.trace_count = result.traces.size();
-
-  ClassifyFrpla(result);
-
-  // Fig. 11 material: observed vs revelation-corrected path lengths, over
-  // the traces that crossed a suspected tunnel (the paper's campaign is
-  // exactly that population — transit paths through suspicious ASes).
-  for (std::size_t i = 0; i < result.traces.size(); ++i) {
-    if (!trace_pair[i]) continue;
-    const int observed = result.traces[i].LastRespondingTtl();
-    if (observed == 0) continue;
-    result.path_length_invisible.Add(observed);
-    int corrected = observed;
-    const auto it = result.revelations.find(*trace_pair[i]);
-    if (it != result.revelations.end() && it->second.succeeded()) {
-      corrected += static_cast<int>(it->second.revealed.size());
-    }
-    result.path_length_visible.Add(corrected);
-  }
-
-  for (const probe::Prober& prober : probers_) {
-    result.probes_sent += prober.probes_sent();
-  }
-  return result;
-}
-
-std::vector<CompactTraceLog> Campaign::TraceShardsStreaming(
-    const std::vector<std::vector<netbase::Ipv4Address>>& shards) {
-  // Same single-task-per-prober discipline as TraceShards — each VP's
-  // probe-id stream depends only on its own target order, so carving the
-  // walk into fixed-size shards changes when memory is freed and nothing
-  // else. `scratch` holds one shard of full traces; once the shard is
-  // compacted its traces are overwritten in place by the next shard (hop
-  // storage included), so the per-VP high-water mark is
-  // stream_shard_size traces instead of the whole target list.
-  // A probing pass must never span a reconvergence: reconvergence is the
-  // engine's exclusive write phase, and a mid-shard epoch bump would mean
-  // traces of two routing states under one epoch stamp.
-  const std::uint64_t epoch = engine_->convergence_epoch();
-  std::vector<CompactTraceLog> logs(probers_.size());
-  exec::ParallelFor(pool_, probers_.size(), [&](std::size_t vp) {
-    std::vector<probe::TraceResult> scratch;
-    for (const auto shard : FixedShards(shards[vp],
-                                        options_.stream_shard_size)) {
-      WORMHOLE_ASSERT(engine_->convergence_epoch() == epoch,
-                      "reconvergence during a probing shard");
-      if (scratch.size() < shard.size()) scratch.resize(shard.size());
-      for (std::size_t k = 0; k < shard.size(); ++k) {
-        probers_[vp].Traceroute(shard[k], options_.trace_options,
-                                scratch[k]);
-      }
-      for (std::size_t k = 0; k < shard.size(); ++k) {
-        logs[vp].Append(scratch[k]);
-      }
-    }
-  });
-  return logs;
-}
-
-CampaignResult Campaign::RunStreaming(
-    const std::vector<netbase::Ipv4Address>& discovery_targets) {
-  return StreamingCampaign(discovery_targets, nullptr);
+  return Execute(discovery_targets, nullptr);
 }
 
 CampaignResult Campaign::RunDelta(
     const std::vector<netbase::Ipv4Address>& discovery_targets,
     TraceCache& cache) {
-  ResetProbers();
-  return StreamingCampaign(discovery_targets, &cache);
+  return Execute(discovery_targets, &cache);
 }
 
-void Campaign::ResetProbers() {
+std::vector<probe::TraceResult> Campaign::RunDiscovery(
+    const std::vector<netbase::Ipv4Address>& targets) {
+  RunContext ctx = StartRun(nullptr);
+  std::vector<std::vector<probe::TraceResult>> per_vp(probers_.size());
+  (void)Probe(TraceCache::Phase::kDiscovery,
+              ShardTargets(targets, probers_.size()), ctx, &per_vp);
+  return Flatten(per_vp);
+}
+
+Campaign::RunContext Campaign::StartRun(TraceCache* cache) {
   for (probe::Prober& prober : probers_) prober.Restart();
+  RunContext ctx;
+  ctx.cache = cache;
+  ctx.epoch = engine_->convergence_epoch();
+  // On a lossy world the reply bytes depend on probe ids, so a cached
+  // trace may only be served at the exact id offset it was recorded at;
+  // loss-free worlds can serve at any offset (docs/incremental.md).
+  ctx.strict_offsets = cache != nullptr && engine_->RepliesDependOnProbeIds();
+  ctx.hits.assign(probers_.size(), 0);
+  if (cache != nullptr) {
+    cache->Begin(engine_->topology(), probers_.size(), ctx.epoch);
+  }
+  return ctx;
 }
 
-std::vector<CompactTraceLog> Campaign::TraceShardsDelta(
+std::vector<CompactTraceLog> Campaign::Probe(
     TraceCache::Phase phase,
     const std::vector<std::vector<netbase::Ipv4Address>>& shards,
-    TraceCache& cache, std::uint64_t epoch, bool strict_offsets,
-    std::vector<std::uint64_t>& served, std::vector<std::uint64_t>& total) {
-  // One task per VP, targets walked in the same order as
-  // TraceShardsStreaming, so the live probes land on exactly the ids the
-  // cold run gave them (cache hits replay their id budget via
-  // SkipProbes). Each task reads and writes only its own (phase, vp)
-  // cache slot — see the TraceCache thread-safety contract.
+    RunContext& ctx, std::vector<std::vector<probe::TraceResult>>* keep) {
+  // One task per vantage point: probers_[vp] is touched by that task only,
+  // and it walks its shard in order, so the probe-id stream of every
+  // prober — and with it every simulated reply — is independent of the
+  // worker count and of scheduling. Cache hits replay their id budget
+  // via SkipProbes, so the live probes land on exactly the ids a cold run
+  // gives them. Each task reads and writes only its own (phase, vp) cache
+  // slot — see the TraceCache thread-safety contract.
+  TraceCache* cache = ctx.cache;
   std::vector<CompactTraceLog> logs(probers_.size());
   exec::ParallelFor(pool_, probers_.size(), [&](std::size_t vp) {
     probe::Prober& prober = probers_[vp];
     probe::TraceResult trace;
-    for (const auto shard : FixedShards(shards[vp],
-                                        options_.stream_shard_size)) {
-      WORMHOLE_ASSERT(engine_->convergence_epoch() == epoch,
-                      "reconvergence during a probing shard");
-      for (const netbase::Ipv4Address target : shard) {
-        ++total[vp];
+    std::uint64_t hits = 0;
+    for (const netbase::Ipv4Address target : shards[vp]) {
+      // A probing pass must never span a reconvergence: reconvergence is
+      // the engine's exclusive write phase, and an epoch bump mid-pass
+      // would mean traces of two routing states under one epoch stamp.
+      WORMHOLE_ASSERT(engine_->convergence_epoch() == ctx.epoch,
+                      "reconvergence during a probing pass");
+      if (cache != nullptr) {
         const TraceCache::Lookup cached =
-            cache.Find(phase, vp, target, epoch, prober.probes_sent(),
-                       strict_offsets);
+            cache->Find(phase, vp, target, ctx.epoch, prober.probes_sent(),
+                        ctx.strict_offsets);
         if (cached.hit) {
-          logs[vp].AppendFrom(cache.LogOf(phase, vp), cached.trace_index);
+          logs[vp].AppendFrom(cache->LogOf(phase, vp), cached.trace_index);
           prober.SkipProbes(cached.probes_used);
-          ++served[vp];
+          ++hits;
           continue;
         }
-        const std::uint64_t before = prober.probes_sent();
-        prober.Traceroute(target, options_.trace_options, trace);
-        cache.Record(phase, vp, trace, epoch, before,
-                     prober.probes_sent() - before);
-        logs[vp].Append(trace);
       }
+      const std::uint64_t before = prober.probes_sent();
+      prober.Traceroute(target, options_.trace_options, trace);
+      if (cache != nullptr) {
+        cache->Record(phase, vp, trace, ctx.epoch, before,
+                      prober.probes_sent() - before);
+      }
+      logs[vp].Append(trace);
+      if (keep != nullptr) (*keep)[vp].push_back(trace);
     }
+    ctx.hits[vp] += hits;
   });
   return logs;
 }
 
-CampaignResult Campaign::StreamingCampaign(
+CampaignResult Campaign::Execute(
     const std::vector<netbase::Ipv4Address>& discovery_targets,
     TraceCache* cache) {
+  RunContext ctx = StartRun(cache);
   CampaignResult result;
   const topo::Topology& topology = engine_->topology();
   const AliasResolver resolver = TruthResolver(topology);
 
-  const std::uint64_t epoch = engine_->convergence_epoch();
-  // On a lossy world the reply bytes depend on probe ids, so a cached
-  // trace may only be served at the exact id offset it was recorded at;
-  // loss-free worlds can serve at any offset (docs/incremental.md).
-  const bool strict_offsets =
-      cache != nullptr && engine_->RepliesDependOnProbeIds();
-  if (cache != nullptr) cache->Begin(topology, probers_.size(), epoch);
-  // Route the reduce's echo pings (fingerprint echo halves, candidate
-  // egress probes) through the cache's ping table for the rest of this
-  // run; revelation probing always runs live.
-  delta_cache_ = cache;
-  delta_epoch_ = epoch;
-  delta_strict_ = strict_offsets;
-  std::vector<std::uint64_t> served(probers_.size(), 0);
-  std::vector<std::uint64_t> total(probers_.size(), 0);
-
-  // Phase 0: streamed discovery. The buffered path flattens the per-VP
-  // trace vectors vp-major before BuildDataset; replaying the compact
-  // logs in the same vp-major order feeds AddTraceToDataset the exact
-  // same hop sequence. The logs die with the scope.
+  // Phase 0: plain discovery campaign; infer the (biased) dataset from
+  // the logs, replayed in the vp-major order they were probed in. The
+  // logs die with the scope.
   {
-    const auto discovery_shards =
-        ShardTargets(discovery_targets, probers_.size());
-    const auto logs =
-        cache != nullptr
-            ? TraceShardsDelta(TraceCache::Phase::kDiscovery,
-                               discovery_shards, *cache, epoch,
-                               strict_offsets, served, total)
-            : TraceShardsStreaming(discovery_shards);
-    probe::TraceResult scratch;
-    for (const CompactTraceLog& log : logs) {
-      for (std::size_t i = 0; i < log.size(); ++i) {
-        log.InflateInto(i, scratch);
-        AddTraceToDataset(result.inferred, scratch, resolver, topology);
-      }
-    }
+    const auto logs = Probe(TraceCache::Phase::kDiscovery,
+                            ShardTargets(discovery_targets, probers_.size()),
+                            ctx, nullptr);
+    Replay(logs, [&](std::size_t, const probe::TraceResult& trace) {
+      AddTraceToDataset(result.inferred, trace, resolver, topology);
+    });
   }
 
-  // Phase 1: HDN-guided probing, shard-compacted the same way.
+  // Phase 1: HDN-guided probing. Buffered mode (a cold run with
+  // stream_shard_size 0) also keeps every full targeted trace.
   result.targets = SelectTargets(result.inferred, options_.hdn_threshold);
   const std::unordered_set<topo::NodeId> hdn_set(
       result.targets.hdns.begin(), result.targets.hdns.end());
@@ -288,58 +241,48 @@ CampaignResult Campaign::StreamingCampaign(
                           ? ShardTargets(result.targets.all, probers_.size())
                           : std::vector<std::vector<netbase::Ipv4Address>>(
                                 probers_.size(), result.targets.all);
-  const auto logs =
-      cache != nullptr
-          ? TraceShardsDelta(TraceCache::Phase::kTargeted, shards, *cache,
-                             epoch, strict_offsets, served, total)
-          : TraceShardsStreaming(shards);
+  const bool buffered = cache == nullptr && options_.stream_shard_size == 0;
+  std::vector<std::vector<probe::TraceResult>> kept(probers_.size());
+  const auto logs = Probe(TraceCache::Phase::kTargeted, shards, ctx,
+                          buffered ? &kept : nullptr);
 
   // Sequential reduce in (vp, target-index) order, inflating one trace
   // at a time. All probing above is already done, so the analysis probes
   // AnalyzeTrace issues (fingerprint pings, revelation traces) extend
-  // each prober's id stream in exactly the positions the buffered reduce
-  // would — every simulated reply, and therefore every byte of the
-  // result, matches buffered mode.
-  std::size_t total_traces = 0;
-  for (const CompactTraceLog& log : logs) total_traces += log.size();
-  std::vector<std::optional<EndpointPair>> trace_pair;
-  trace_pair.reserve(total_traces);
-  std::vector<int> observed_ttls;
-  observed_ttls.reserve(total_traces);
-  probe::TraceResult scratch;
-  for (std::size_t vp = 0; vp < probers_.size(); ++vp) {
-    for (std::size_t i = 0; i < logs[vp].size(); ++i) {
-      logs[vp].InflateInto(i, scratch);
-      AddTraceToDataset(result.inferred, scratch, resolver, topology);
-      trace_pair.push_back(
-          AnalyzeTrace(scratch, result, vp, probers_[vp], hdn_set));
-      observed_ttls.push_back(scratch.LastRespondingTtl());
+  // each prober's id stream at positions no worker count or scheduling
+  // can move. Each trace that yields a candidate pair crossed a suspected
+  // tunnel; its pair and observed path length are the Fig. 11 material.
+  std::vector<std::pair<EndpointPair, int>> crossings;
+  Replay(logs, [&](std::size_t vp, const probe::TraceResult& trace) {
+    ++result.trace_count;
+    AddTraceToDataset(result.inferred, trace, resolver, topology);
+    if (const auto pair = AnalyzeTrace(trace, result, vp, ctx, hdn_set)) {
+      crossings.emplace_back(*pair, trace.LastRespondingTtl());
     }
-  }
-  result.trace_count = total_traces;
+  });
 
   // FRPLA needs the full revelation map, so it is a second pass over the
-  // compact logs — same trace order as the buffered pass over
-  // result.traces.
+  // logs, in the same trace order. Egress RFA samples come from the
+  // traces in which the address actually acted as a tunnel egress (the
+  // candidate observations). A trace aimed *at* the same PE follows a
+  // route that hides nothing, so counting every appearance would wash
+  // the shift out.
   const FrplaSets sets = FrplaSetsOf(result);
   for (const CandidateRecord& record : result.candidates) {
     RfaSampleFromCandidate(record, result);
   }
-  for (const CompactTraceLog& log : logs) {
-    for (std::size_t i = 0; i < log.size(); ++i) {
-      log.InflateInto(i, scratch);
-      FrplaFromTrace(scratch, sets, result);
-    }
-  }
+  Replay(logs, [&](std::size_t, const probe::TraceResult& trace) {
+    FrplaFromTrace(trace, sets, result);
+  });
 
-  // Fig. 11 material from the per-trace notes taken during the reduce.
-  for (std::size_t i = 0; i < total_traces; ++i) {
-    if (!trace_pair[i]) continue;
-    const int observed = observed_ttls[i];
+  // Fig. 11 material: observed vs revelation-corrected path lengths, over
+  // the traces that crossed a suspected tunnel (the paper's campaign is
+  // exactly that population — transit paths through suspicious ASes).
+  for (const auto& [pair, observed] : crossings) {
     if (observed == 0) continue;
     result.path_length_invisible.Add(observed);
     int corrected = observed;
-    const auto it = result.revelations.find(*trace_pair[i]);
+    const auto it = result.revelations.find(pair);
     if (it != result.revelations.end() && it->second.succeeded()) {
       corrected += static_cast<int>(it->second.revealed.size());
     }
@@ -350,38 +293,38 @@ CampaignResult Campaign::StreamingCampaign(
     result.probes_sent += prober.probes_sent();
   }
   if (cache != nullptr) {
-    for (std::size_t vp = 0; vp < probers_.size(); ++vp) {
-      result.delta_pairs_total += total[vp];
-      result.delta_pairs_reprobed += total[vp] - served[vp];
+    // Each VP walked its discovery shard and its targeted list once.
+    result.delta_pairs_total = discovery_targets.size() + result.trace_count;
+    result.delta_pairs_reprobed = result.delta_pairs_total;
+    for (const std::uint64_t hits : ctx.hits) {
+      result.delta_pairs_reprobed -= hits;
     }
   }
-  delta_cache_ = nullptr;
-  delta_epoch_ = 0;
-  delta_strict_ = false;
+  result.traces = Flatten(kept);
   return result;
 }
 
-probe::PingResult Campaign::CachedPing(std::size_t vp,
-                                       probe::Prober& prober,
-                                       netbase::Ipv4Address address) {
-  if (delta_cache_ == nullptr) return prober.Ping(address);
-  const TraceCache::PingLookup cached = delta_cache_->FindPing(
-      vp, address, delta_epoch_, prober.probes_sent(), delta_strict_);
+probe::PingResult Campaign::Ping(std::size_t vp, netbase::Ipv4Address address,
+                                 const RunContext& ctx) {
+  probe::Prober& prober = probers_[vp];
+  TraceCache* cache = ctx.cache;
+  if (cache == nullptr) return prober.Ping(address);
+  const TraceCache::PingLookup cached = cache->FindPing(
+      vp, address, ctx.epoch, prober.probes_sent(), ctx.strict_offsets);
   if (cached.hit) {
     prober.SkipProbes(cached.probes_used);
     return cached.result;
   }
   const std::uint64_t before = prober.probes_sent();
   const probe::PingResult ping = prober.Ping(address);
-  delta_cache_->RecordPing(vp, prober.vantage_point(), ping, delta_epoch_,
-                           before, prober.probes_sent() - before);
+  cache->RecordPing(vp, prober.vantage_point(), ping, ctx.epoch, before,
+                    prober.probes_sent() - before);
   return ping;
 }
 
 std::optional<EndpointPair> Campaign::AnalyzeTrace(
     const probe::TraceResult& trace, CampaignResult& result, std::size_t vp,
-    probe::Prober& prober,
-    const std::unordered_set<topo::NodeId>& hdn_set) {
+    const RunContext& ctx, const std::unordered_set<topo::NodeId>& hdn_set) {
   // UHP signatures: attribute each duplicate-hop suspicion to the AS of
   // the hop before it (the suspected Ingress LER of the invisible cloud).
   for (const auto& suspicion : reveal::DetectUhpSuspicions(trace)) {
@@ -404,7 +347,7 @@ std::optional<EndpointPair> Campaign::AnalyzeTrace(
     }
     if (options_.fingerprint &&
         result.signatures.NeedsEchoReply(*hop.address)) {
-      const probe::PingResult ping = CachedPing(vp, prober, *hop.address);
+      const probe::PingResult ping = Ping(vp, *hop.address, ctx);
       if (ping.responded) {
         result.signatures.RecordEchoReply(*hop.address, ping.reply_ip_ttl);
       }
@@ -438,7 +381,7 @@ std::optional<EndpointPair> Campaign::AnalyzeTrace(
   const EndpointPair pair{x, y};
   auto it = result.revelations.find(pair);
   if (it == result.revelations.end()) {
-    reveal::Revelator revelator(prober,
+    reveal::Revelator revelator(probers_[vp],
                                 {.trace_options = options_.trace_options});
     reveal::RevelationResult revelation = revelator.Reveal(x, y);
     result.revelation_traces +=
@@ -454,7 +397,7 @@ std::optional<EndpointPair> Campaign::AnalyzeTrace(
                     static_cast<std::size_t>(trace.hops[0].probe_ttl));
   record.egress_forward_ttl = egress_hop.probe_ttl;
   record.egress_return_ttl = egress_hop.reply_ip_ttl;
-  const probe::PingResult ping = CachedPing(vp, prober, y);
+  const probe::PingResult ping = Ping(vp, y, ctx);
   if (ping.responded) record.egress_echo_ttl = ping.reply_ip_ttl;
   record.revealed = it->second.succeeded();
   record.revealed_count = static_cast<int>(it->second.revealed.size());
@@ -467,68 +410,6 @@ std::optional<EndpointPair> Campaign::AnalyzeTrace(
     if (observation) result.rtla.Add(asn, *observation);
   }
   return pair;
-}
-
-Campaign::FrplaSets Campaign::FrplaSetsOf(const CampaignResult& result) {
-  FrplaSets sets;
-  for (const auto& [pair, revelation] : result.revelations) {
-    sets.ingresses.insert(pair.ingress);
-    sets.egresses.insert(pair.egress);
-  }
-  return sets;
-}
-
-void Campaign::FrplaFromTrace(const probe::TraceResult& trace,
-                              const FrplaSets& sets,
-                              CampaignResult& result) {
-  for (const probe::Hop& hop : trace.hops) {
-    if (!hop.address) continue;
-    if (hop.reply_kind != PacketKind::kTimeExceeded) continue;
-    // Egresses are handled by RfaSampleFromCandidate.
-    if (sets.egresses.contains(*hop.address)) continue;
-    const auto observation = reveal::ObserveRfa(hop);
-    if (!observation) continue;
-    const auto node = result.inferred.FindNode(*hop.address);
-    if (!node) continue;
-    const topo::AsNumber asn = result.inferred.node(*node).asn;
-    if (asn == 0) continue;
-
-    const reveal::ResponderRole role =
-        sets.ingresses.contains(*hop.address)
-            ? reveal::ResponderRole::kIngress
-            : reveal::ResponderRole::kOther;
-    result.frpla.Add(asn, role, *observation);
-  }
-}
-
-void Campaign::ClassifyFrpla(CampaignResult& result) const {
-  const FrplaSets sets = FrplaSetsOf(result);
-
-  // Egress RFA samples come from the traces in which the address actually
-  // acted as a tunnel egress (the candidate observations). A trace aimed
-  // *at* the same PE follows a route that hides nothing, so counting every
-  // appearance would wash the shift out.
-  for (const CandidateRecord& record : result.candidates) {
-    RfaSampleFromCandidate(record, result);
-  }
-
-  for (const probe::TraceResult& trace : result.traces) {
-    FrplaFromTrace(trace, sets, result);
-  }
-}
-
-void Campaign::RfaSampleFromCandidate(const CandidateRecord& record,
-                                      CampaignResult& result) {
-  reveal::RfaObservation observation;
-  observation.responder = record.pair.egress;
-  observation.forward_length = record.egress_forward_ttl;
-  observation.return_length =
-      reveal::ReturnPathLength(record.egress_return_ttl);
-  result.frpla.Add(record.asn,
-                   record.revealed
-                       ? reveal::ResponderRole::kEgressRevealed
-                       : reveal::ResponderRole::kEgressHidden,
-                   observation);
 }
 
 }  // namespace wormhole::campaign

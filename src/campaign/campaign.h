@@ -5,7 +5,6 @@
 #pragma once
 
 #include <map>
-#include <set>
 #include <unordered_set>
 #include <vector>
 
@@ -57,18 +56,15 @@ struct CampaignOptions {
   /// hardware concurrency. The result is bit-identical for every value
   /// (see "Concurrency model" in docs/semantics.md).
   std::size_t jobs = 0;
-  /// Streaming mode (docs/scaling.md). When > 0, every vantage point
-  /// traces its targets in consecutive shards of this many targets; as a
-  /// shard retires, its traces are compacted into a packed per-VP log
-  /// (CompactTraceLog, ~8 B/hop) and the full TraceResults are freed —
-  /// peak memory is bounded by shard size instead of target count. The
-  /// sequential reduce then replays the logs in the same
-  /// (vp, target-index) order buffered mode uses, so every stat,
-  /// candidate, revelation and report byte is identical at any shard
-  /// size and any jobs count. The only difference: CampaignResult::traces
-  /// stays empty (that buffer is exactly the memory this mode exists to
-  /// not spend); use CampaignResult::trace_count for accounting.
-  /// 0 = buffered mode: retain every targeted TraceResult.
+  /// Only zero versus non-zero matters; the magnitude is ignored. Zero
+  /// (buffered mode) keeps every targeted trace in full in
+  /// CampaignResult::traces; non-zero (streaming mode, docs/scaling.md)
+  /// keeps none. Either way each vantage point traces one target at a
+  /// time and packs it into its CompactTraceLog (~8 B/hop), and the
+  /// sequential reduce reads those logs in (vp, target-index) order, so
+  /// every stat, candidate, revelation and report byte is identical in
+  /// both modes at any jobs count. Streaming mode only saves the memory
+  /// of the full traces; use CampaignResult::trace_count for accounting.
   std::size_t stream_shard_size = 0;
 };
 
@@ -84,11 +80,13 @@ struct CandidateRecord {
 };
 
 struct CampaignResult {
-  /// Phase-one traces (the targeted ones used for analysis). Empty in
-  /// streaming mode — see CampaignOptions::stream_shard_size.
+  /// Phase-one traces (the targeted ones used for analysis), label
+  /// stacks and RTTs included. Filled only by Run in buffered mode; empty
+  /// in streaming mode and after RunDelta — see
+  /// CampaignOptions::stream_shard_size.
   std::vector<probe::TraceResult> traces;
-  /// Number of targeted traces (== traces.size() in buffered mode; the
-  /// only trace statistic streaming mode retains).
+  /// Number of targeted traces (== traces.size() whenever traces is
+  /// filled; the only trace statistic the other runs retain).
   std::uint64_t trace_count = 0;
   /// Dataset inferred from ALL traces (discovery + targeted).
   topo::ItdkDataset inferred;
@@ -130,7 +128,8 @@ struct CampaignResult {
 /// driven by exactly one task, so its probe-id sequence is fixed), and
 /// everything order-dependent — dataset mutation, candidate analysis,
 /// revelation dedup — happens in a sequential post-merge pass over the
-/// traces in (vp, target-index) order.
+/// traces in (vp, target-index) order. Every run restarts the probers
+/// first, so it is id-for-id the run a fresh Campaign object would make.
 class Campaign {
  public:
   /// One prober per vantage point is created on `engine`.
@@ -146,16 +145,15 @@ class Campaign {
   std::vector<probe::TraceResult> RunDiscovery(
       const std::vector<netbase::Ipv4Address>& targets);
 
-  /// Cache-backed streaming run (docs/incremental.md). Byte-identical to
-  /// a cold Run at any jobs/shard combination: every (vp, target) trace
-  /// whose cache entry carries the current convergence epoch is spliced
-  /// from the cache (with its probe-id consumption replayed), everything
+  /// Cache-backed run (docs/incremental.md). Byte-identical to a cold
+  /// Run at any jobs/shard combination: every (vp, target) trace whose
+  /// cache entry carries the current convergence epoch is spliced from
+  /// the cache (with its probe-id consumption replayed), everything
   /// else — cache misses, fingerprint pings, revelations — runs live.
-  /// The probers are reset first, so each RunDelta is id-for-id the
-  /// campaign a fresh Campaign object would run. Typical cycle: cold
-  /// RunDelta fills `cache`; after topology.SetLinkUp +
-  /// Network::OnLinkStateChange, Invalidate the cache with the returned
-  /// delta; RunDelta again re-probes only the dirty pairs.
+  /// Typical cycle: cold RunDelta fills `cache`; after
+  /// topology.SetLinkUp + Network::OnLinkStateChange, Invalidate the
+  /// cache with the returned delta; RunDelta again re-probes only the
+  /// dirty pairs.
   CampaignResult RunDelta(
       const std::vector<netbase::Ipv4Address>& discovery_targets,
       TraceCache& cache);
@@ -164,84 +162,54 @@ class Campaign {
   [[nodiscard]] std::size_t jobs() const { return pool_.size(); }
 
  private:
-  /// Traceroutes every shard concurrently (shard i drives probers_[i]);
-  /// returns the traces per VP, each inner vector in shard order.
-  std::vector<std::vector<probe::TraceResult>> TraceShards(
-      const std::vector<std::vector<netbase::Ipv4Address>>& shards);
+  /// Per-run state, made by StartRun.
+  struct RunContext {
+    /// The delta run's cache; null on a cold run.
+    TraceCache* cache = nullptr;
+    /// The convergence epoch the run probes at.
+    std::uint64_t epoch = 0;
+    /// Cache hits must sit at the probe-id offset they were recorded at.
+    bool strict_offsets = false;
+    /// Per VP over both probing phases: the targets the cache served.
+    std::vector<std::uint64_t> hits;
+  };
 
-  /// Streaming twin of TraceShards: each VP walks its target list in
-  /// fixed-size shards (options_.stream_shard_size), compacting every
-  /// retired shard into its packed log and freeing the full traces. The
-  /// probe streams are identical to TraceShards', so the compact logs
-  /// hold byte-identical observations.
-  std::vector<CompactTraceLog> TraceShardsStreaming(
-      const std::vector<std::vector<netbase::Ipv4Address>>& shards);
+  /// Restarts every prober (Prober::Restart), binds `cache` when there
+  /// is one and returns the run's context.
+  RunContext StartRun(TraceCache* cache);
 
-  /// Delta twin of TraceShardsStreaming: per (vp, target) either splices
-  /// the cached packed trace (replaying its probe-id budget) or traces
-  /// live and records the result. Target order — and therefore each
-  /// prober's probe-id stream — is identical to TraceShardsStreaming's.
-  /// `served` / `total` accumulate per-VP hit accounting.
-  std::vector<CompactTraceLog> TraceShardsDelta(
+  /// The one probing loop: per VP and target in order, splice a current
+  /// cache entry or trace live, and append the trace to the VP's log. A
+  /// `keep` sink (cold runs only) gets a full copy of each live trace.
+  std::vector<CompactTraceLog> Probe(
       TraceCache::Phase phase,
       const std::vector<std::vector<netbase::Ipv4Address>>& shards,
-      TraceCache& cache, std::uint64_t epoch, bool strict_offsets,
-      std::vector<std::uint64_t>& served, std::vector<std::uint64_t>& total);
+      RunContext& ctx, std::vector<std::vector<probe::TraceResult>>* keep);
 
-  /// The streaming (bounded-memory) twin of Run; same output bytes.
-  CampaignResult RunStreaming(
-      const std::vector<netbase::Ipv4Address>& discovery_targets);
-
-  /// Shared body of RunStreaming (cache == nullptr) and RunDelta.
-  CampaignResult StreamingCampaign(
+  /// The whole pipeline: discovery, target selection, targeted probing
+  /// and one reduce over the logs. Run passes no cache, RunDelta one.
+  CampaignResult Execute(
       const std::vector<netbase::Ipv4Address>& discovery_targets,
       TraceCache* cache);
 
-  /// Restarts every prober so probe ids restart at 1 — the precondition
-  /// for a RunDelta to be id-for-id a cold campaign. Buffers and reply
-  /// memos are kept (Prober::Restart).
-  void ResetProbers();
-
   /// Returns the candidate endpoint pair extracted from the trace, if any.
-  /// `vp` is the prober's vantage-point index (CachedPing slot key).
+  /// `vp` is the prober's vantage-point index.
   std::optional<EndpointPair> AnalyzeTrace(
       const probe::TraceResult& trace, CampaignResult& result, std::size_t vp,
-      probe::Prober& prober,
-      const std::unordered_set<topo::NodeId>& hdn_set);
+      const RunContext& ctx, const std::unordered_set<topo::NodeId>& hdn_set);
 
   /// Reduce-time echo ping (fingerprint echo half, candidate egress
-  /// probe). Outside a delta run this is exactly prober.Ping; inside one
-  /// it consults the cache's per-VP ping table first, replaying the
-  /// probe-id budget of a hit so the prober's id stream stays id-for-id
-  /// the cold run's (docs/incremental.md).
-  probe::PingResult CachedPing(std::size_t vp, probe::Prober& prober,
-                               netbase::Ipv4Address address);
-
-  /// The ingress/egress address sets of the revelation map — the FRPLA
-  /// responder-role classifier's inputs, computed once after the reduce.
-  struct FrplaSets {
-    std::unordered_set<netbase::Ipv4Address> ingresses;
-    std::unordered_set<netbase::Ipv4Address> egresses;
-  };
-  static FrplaSets FrplaSetsOf(const CampaignResult& result);
-  /// Adds one trace's hop-level RFA samples (both Run flavours call this
-  /// over the traces in the same (vp, target-index) order).
-  static void FrplaFromTrace(const probe::TraceResult& trace,
-                             const FrplaSets& sets, CampaignResult& result);
-  void ClassifyFrpla(CampaignResult& result) const;
-  static void RfaSampleFromCandidate(const CandidateRecord& record,
-                                     CampaignResult& result);
+  /// probe) from vantage point `vp`. On a cold run this is exactly
+  /// Prober::Ping; on a delta run it consults the cache's per-VP ping
+  /// table first, replaying the probe-id budget of a hit so the prober's
+  /// id stream stays id-for-id the cold run's (docs/incremental.md).
+  probe::PingResult Ping(std::size_t vp, netbase::Ipv4Address address,
+                         const RunContext& ctx);
 
   const sim::Engine* engine_;
   std::vector<probe::Prober> probers_;
   CampaignOptions options_;
   exec::ThreadPool pool_;
-  /// Non-null only while StreamingCampaign runs with a cache: routes
-  /// CachedPing through it. The reduce is sequential, so the ping table
-  /// never sees concurrent access.
-  TraceCache* delta_cache_ = nullptr;
-  std::uint64_t delta_epoch_ = 0;
-  bool delta_strict_ = false;
 };
 
 }  // namespace wormhole::campaign

@@ -1,18 +1,18 @@
-// Packed per-VP trace storage for the streaming campaign.
+// Packed per-VP trace storage for the campaign pipeline.
 //
 // A full probe::TraceResult costs ~64 bytes per hop plus a label-stack
 // allocation per labelled hop — a million-trace campaign buffers over a
-// gigabyte before the reduce even starts. The streaming pipeline instead
-// compacts each retired shard of traces into this log (8 bytes per hop,
-// 12 per trace) and frees the originals; the sequential reduce later
-// re-inflates one trace at a time.
+// gigabyte before the reduce even starts. The campaign instead traces
+// into one recycled TraceResult per vantage point and appends each trace
+// to this log (8 bytes per hop, 16 per trace) as soon as it is traced;
+// the sequential reduce later re-inflates one trace at a time.
 //
 // Contract: Inflate(i) reproduces every field the campaign reduce reads —
 // target, flow id, reached/unreachable flags, and per hop the probe TTL,
 // responder address, reply kind and reply IP-TTL. Label stacks and RTTs
-// are NOT retained: no streaming consumer (dataset building, UHP/candidate
-// analysis, fingerprinting, FRPLA/RTLA, the report) reads them, and
-// keeping them is exactly the memory the mode exists to not spend.
+// are NOT retained: no consumer of the log (dataset building, UHP/
+// candidate analysis, fingerprinting, FRPLA/RTLA, the report) reads them,
+// and keeping them is exactly the memory the log exists to not spend.
 #pragma once
 
 #include <cstdint>

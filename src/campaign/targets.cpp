@@ -39,20 +39,6 @@ TargetSets SelectTargets(const topo::ItdkDataset& dataset,
   return sets;
 }
 
-std::vector<std::span<const netbase::Ipv4Address>> FixedShards(
-    const std::vector<netbase::Ipv4Address>& targets,
-    std::size_t shard_size) {
-  const std::span<const netbase::Ipv4Address> all(targets);
-  if (shard_size == 0 || targets.empty()) return {all};
-  std::vector<std::span<const netbase::Ipv4Address>> out;
-  out.reserve((targets.size() + shard_size - 1) / shard_size);
-  for (std::size_t begin = 0; begin < targets.size(); begin += shard_size) {
-    out.push_back(all.subspan(begin,
-                              std::min(shard_size, targets.size() - begin)));
-  }
-  return out;
-}
-
 std::vector<std::vector<netbase::Ipv4Address>> ShardTargets(
     const std::vector<netbase::Ipv4Address>& targets, std::size_t shards) {
   std::vector<std::vector<netbase::Ipv4Address>> out(std::max<std::size_t>(

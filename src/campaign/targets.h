@@ -4,7 +4,6 @@
 // transit traffic traversing the suspicious ASes end to end.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "topo/itdk.h"
@@ -28,14 +27,5 @@ TargetSets SelectTargets(const topo::ItdkDataset& dataset,
 /// teams probed disjoint destination sets).
 std::vector<std::vector<netbase::Ipv4Address>> ShardTargets(
     const std::vector<netbase::Ipv4Address>& targets, std::size_t shards);
-
-/// The streaming campaign's target stream: consecutive fixed-size shards
-/// of `shard_size` targets (the final shard may be shorter). The views
-/// point into `targets`, which must outlive them. `shard_size` 0 yields
-/// a single whole-run shard. Shard boundaries never reorder targets, so
-/// the trace stream — and every reduce consuming it — is identical at
-/// any shard size.
-std::vector<std::span<const netbase::Ipv4Address>> FixedShards(
-    const std::vector<netbase::Ipv4Address>& targets, std::size_t shard_size);
 
 }  // namespace wormhole::campaign

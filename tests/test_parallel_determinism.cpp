@@ -118,6 +118,24 @@ TEST(ParallelDeterminism, DiscoveryMergesInVantagePointOrder) {
   io::WriteTraces(sa, a);
   io::WriteTraces(sb, b);
   EXPECT_EQ(sa.str(), sb.str());
+
+  // The reference: a fresh prober per VP traces its shard in order, each
+  // trace a new TraceResult, and the shards are merged in VP order. The
+  // campaign traces into one recycled TraceResult per VP and keeps
+  // copies; that must not change a byte (labels and RTTs included).
+  const auto vps = net.vantage_points();
+  const auto shards = ShardTargets(targets, vps.size());
+  std::vector<probe::TraceResult> want;
+  for (std::size_t vp = 0; vp < vps.size(); ++vp) {
+    probe::Prober prober(net.engine(), vps[vp]);
+    for (const netbase::Ipv4Address target : shards[vp]) {
+      want.push_back(
+          prober.Traceroute(target, CampaignOptions{}.trace_options));
+    }
+  }
+  std::ostringstream sw;
+  io::WriteTraces(sw, want);
+  EXPECT_EQ(sa.str(), sw.str());
 }
 
 TEST(ParallelDeterminism, ConcurrentCursorSendMatchesSequentialSend) {

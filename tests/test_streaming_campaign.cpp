@@ -1,8 +1,11 @@
-// Streaming-campaign equivalence: CampaignOptions::stream_shard_size
-// bounds peak memory (per-shard compaction into CompactTraceLog) but must
-// not change ONE byte of the analysis output — same engine stats, same
-// probe counts, same report — at any shard size and any worker count.
-// These tests pin that contract on the golden seed-17 world.
+// Streaming-campaign equivalence: a non-zero
+// CampaignOptions::stream_shard_size only stops Run from keeping the full
+// targeted traces (the reduce reads the per-VP CompactTraceLogs in both
+// modes), so it must not change ONE byte of the analysis output — same
+// engine stats, same probe counts, same report — at any shard size and
+// any worker count. RunDelta and a second run on one Campaign must
+// reproduce the same bytes too. These tests pin that contract on the
+// golden seed-17 world.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -11,7 +14,6 @@
 #include "analysis/campaign_report.h"
 #include "campaign/campaign.h"
 #include "campaign/compact_trace.h"
-#include "campaign/targets.h"
 #include "campaign/trace_cache.h"
 #include "gen/internet.h"
 #include "routing/as_path.h"
@@ -64,9 +66,8 @@ std::string RunCampaign(std::size_t jobs, std::size_t stream_shard_size) {
 }
 
 TEST(StreamingCampaign, ShardSizeNeverChangesAByte) {
-  // shard=1 retires every trace immediately, 64 exercises mid-stream
-  // boundaries, 1<<20 is a single whole-run shard — three very different
-  // memory schedules, identical bytes.
+  // Only zero versus non-zero matters: 1, 64 and 1<<20 all mean
+  // streaming mode, and each must match buffered mode byte for byte.
   const std::string buffered = RunCampaign(/*jobs=*/1, /*shard=*/0);
   ASSERT_FALSE(buffered.empty());
   for (const std::size_t shard : {std::size_t{1}, std::size_t{64},
@@ -170,6 +171,9 @@ TEST(DeltaCampaign, LossyWorldParityAtEveryJobsAndShardCombination) {
           campaign.RunDelta(targets, cache);
       EXPECT_EQ(DeltaBytes(result, world), want)
           << "jobs=" << jobs << " shard=" << shard;
+      EXPECT_TRUE(result.traces.empty())
+          << "RunDelta keeps no full traces, jobs=" << jobs
+          << " shard=" << shard;
       EXPECT_GT(result.delta_pairs_total, 0u);
       EXPECT_LE(result.delta_pairs_reprobed, result.delta_pairs_total);
       // Even under the strict-offset guard each VP serves at least its
@@ -177,6 +181,21 @@ TEST(DeltaCampaign, LossyWorldParityAtEveryJobsAndShardCombination) {
       EXPECT_LT(result.delta_pairs_reprobed, result.delta_pairs_total)
           << "jobs=" << jobs << " shard=" << shard;
     }
+  }
+}
+
+// Every run restarts the probers, so a second run on one Campaign sends
+// the same probe ids as the first and, on this lossy world, sees the same
+// replies and writes the same bytes.
+TEST(StreamingCampaign, ASecondRunOnOneCampaignRepeatsTheFirst) {
+  for (const std::size_t shard : {std::size_t{0}, std::size_t{64}}) {
+    gen::SyntheticInternet world(GoldenWorldOptions());
+    const auto targets = world.AllLoopbacks();
+    campaign::Campaign campaign(world.engine(), world.vantage_points(),
+                                {.jobs = 1, .stream_shard_size = shard});
+    const std::string first = DeltaBytes(campaign.Run(targets), world);
+    EXPECT_EQ(DeltaBytes(campaign.Run(targets), world), first)
+        << "shard=" << shard;
   }
 }
 
@@ -229,28 +248,6 @@ TEST(CompactTraceLog, RoundTripsEveryFieldTheReduceReads) {
   EXPECT_TRUE(back1.unreachable);
   EXPECT_FALSE(back1.reached);
   EXPECT_TRUE(back1.hops.empty());
-}
-
-TEST(FixedShards, CoversEveryTargetInOrder) {
-  std::vector<netbase::Ipv4Address> targets;
-  for (std::uint32_t i = 0; i < 10; ++i) {
-    targets.emplace_back(0x0A000000u + i);
-  }
-
-  const auto shards = campaign::FixedShards(targets, 4);
-  ASSERT_EQ(shards.size(), 3u);  // 4 + 4 + 2
-  EXPECT_EQ(shards.back().size(), 2u);
-  std::size_t seen = 0;
-  for (const auto shard : shards) {
-    for (const netbase::Ipv4Address a : shard) {
-      EXPECT_EQ(a, targets[seen++]);
-    }
-  }
-  EXPECT_EQ(seen, targets.size());
-
-  // 0 = one whole-run shard; oversize = same.
-  EXPECT_EQ(campaign::FixedShards(targets, 0).size(), 1u);
-  EXPECT_EQ(campaign::FixedShards(targets, 100).size(), 1u);
 }
 
 }  // namespace

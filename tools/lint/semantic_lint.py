@@ -97,11 +97,10 @@ DEFAULT_CONFIG = {
         "sim::Engine::Send",
         "sim::Network::OnLinkStateChange",
         "sim::Network::ConvergeFull",
-        # The streaming campaign's shard scheduler and replay reduce: the
-        # byte-identity contract (docs/scaling.md) dies the moment either
-        # can reach a clock or an unseeded RNG.
-        "campaign::Campaign::TraceShardsStreaming",
-        "campaign::Campaign::RunStreaming",
+        # The campaign pipeline (Run reaches the probing loop and the
+        # replay reduce): the byte-identity contract (docs/scaling.md)
+        # dies the moment either can reach a clock or an unseeded RNG.
+        "campaign::Campaign::Run",
         "campaign::CompactTraceLog::Append",
         "campaign::CompactTraceLog::Inflate",
     ],
@@ -681,10 +680,14 @@ class Model:
                 return cls + "::" + base
             return None
         # Bare call: same class, then same namespace, then unique global.
-        if func.class_qname and func.class_qname + "::" + base in (
-            self.functions
-        ):
-            return func.class_qname + "::" + base
+        # An out-of-line member parsed before its class (a .cpp sorts
+        # before its header) has no class_qname; its qname names it.
+        cls = func.class_qname
+        scope = func.qname.rpartition("::")[0]
+        if cls is None and scope in self.classes:
+            cls = scope
+        if cls and cls + "::" + base in self.functions:
+            return cls + "::" + base
         candidates = self.func_by_name.get(base, [])
         if func.qname.count("::"):
             ns = func.qname.rsplit("::", 2)[0]

@@ -248,6 +248,27 @@ class RealTreeTest(unittest.TestCase):
             )
         )
 
+    def test_campaign_run_reaches_the_probing_loop(self):
+        # campaign.cpp sorts before campaign.h, so its out-of-line members
+        # are parsed before their class; bare calls between them must
+        # still resolve to the class, or the Run root stops short of the
+        # probing loop and the cache (Probe and Ping are not unique names).
+        reach = self.model.reachable_from(
+            self.model.match_entries(["campaign::Campaign::Run"])
+        )
+        for callee in (
+            "Campaign::Execute",
+            "Campaign::Probe",
+            "Campaign::Ping",
+            "TraceCache::Find",
+            "TraceCache::Record",
+            "TraceCache::FindPing",
+            "TraceCache::RecordPing",
+            "CompactTraceLog::Append",
+            "CompactTraceLog::InflateInto",
+        ):
+            self.assertIn("wormhole::campaign::" + callee, reach)
+
     def test_fib_mutable_query_side_is_modeled(self):
         fib = self.model.classes["wormhole::routing::Fib"]
         self.assertTrue(fib.fields["slots_"].is_mutable)
