@@ -23,7 +23,6 @@
 #include "netbase/packet.h"
 #include "probe/prober.h"
 #include "reveal/revelator.h"
-#include "routing/as_path.h"
 #include "routing/delta.h"
 #include "routing/fib.h"
 #include "routing/igp.h"
@@ -546,8 +545,8 @@ void BM_DeltaReprobe(benchmark::State& state) {
   // back up to date. delta=0 re-runs the full streaming campaign (the
   // baseline, matching BM_CampaignScaling's shard=64 configuration);
   // delta=1 invalidates an epoch-versioned TraceCache with the
-  // ConvergenceDelta + AS-path dirty set and re-probes only the dirty
-  // (vp, target) pairs — identical output bytes
+  // ConvergenceDelta (the entries whose walks crossed the flapped AS go
+  // stale) and re-probes only the dirty (vp, target) pairs — identical output bytes
   // (tests/test_convergence_parity.cpp), so the rows differ only in
   // latency and the reprobe_frac counter.
   gen::SyntheticInternet& world =
@@ -581,10 +580,7 @@ void BM_DeltaReprobe(benchmark::State& state) {
       const routing::ConvergenceDelta delta =
           world.network().OnLinkStateChange(flapped);
       if (use_delta) {
-        const routing::AsPathOracle oracle(topology,
-                                           world.network().bgp_level(),
-                                           world.network().bgp_policy());
-        cache.Invalidate(delta, oracle);
+        cache.Invalidate(delta);
         const auto result = campaign.RunDelta(targets, cache);
         pairs_total += result.delta_pairs_total;
         pairs_reprobed += result.delta_pairs_reprobed;

@@ -201,8 +201,8 @@ std::vector<CompactTraceLog> Campaign::Probe(
       const std::uint64_t before = prober.probes_sent();
       prober.Traceroute(target, options_.trace_options, trace);
       if (cache != nullptr) {
-        cache->Record(phase, vp, trace, ctx.epoch, before,
-                      prober.probes_sent() - before);
+        cache->Record(phase, vp, trace, prober.footprint().ases(), ctx.epoch,
+                      before, prober.probes_sent() - before);
       }
       logs[vp].Append(trace);
       if (keep != nullptr) (*keep)[vp].push_back(trace);
@@ -317,7 +317,7 @@ probe::PingResult Campaign::Ping(std::size_t vp, netbase::Ipv4Address address,
   }
   const std::uint64_t before = prober.probes_sent();
   const probe::PingResult ping = prober.Ping(address);
-  cache->RecordPing(vp, prober.vantage_point(), ping, ctx.epoch, before,
+  cache->RecordPing(vp, ping, prober.footprint().ases(), ctx.epoch, before,
                     prober.probes_sent() - before);
   return ping;
 }

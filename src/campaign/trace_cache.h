@@ -1,40 +1,39 @@
 // Epoch-versioned campaign trace cache (docs/incremental.md).
 //
 // One entry per (phase, vantage point, target): the packed trace bytes
-// (CompactTraceLog), the probe-id budget the trace consumed, and the
-// convergence epoch the trace is valid for. After a link flap the owner
-// calls Invalidate with the ConvergenceDelta from
-// sim::Network::OnLinkStateChange and an AsPathOracle over the (new) AS
-// level: entries whose forward path, responder set and candidate return
-// paths all provably avoid the touched AS are promoted to the new epoch;
-// everything else is left stale and re-probed live by the next
-// Campaign::RunDelta. The dirty set is a conservative over-approximation
-// — keeping a clean entry stale only costs probes, promoting a dirty one
-// would corrupt results, so every ambiguity (unknown AS, unbounded oracle
-// walk, global reconvergence) resolves to "dirty".
+// (CompactTraceLog), the probe-id budget the trace consumed, the
+// convergence epoch the trace is valid for, and its footprint: the sorted
+// ASes of every router its probes' and replies' walks processed a hop at
+// (sim/footprint.h). After a link flap the owner calls Invalidate with
+// the ConvergenceDelta from sim::Network::OnLinkStateChange. A kIntraAs
+// delta rebuilt only the touched AS's routing, label and engine state,
+// so an entry whose footprint misses that AS replays unchanged: it is
+// promoted to the new epoch, and every other entry is left stale and
+// re-probed live by the next Campaign::RunDelta. The rule is exact, not
+// a conservative guess: a stale entry's walks did visit the touched AS.
 //
 // Reduce-time echo pings (the fingerprint echo-reply half and the
-// candidate-egress ping) get the same treatment in a per-VP ping table:
-// a ping's bytes depend only on the forward path to the address and the
-// reply path back, so the trace dirty rule applies verbatim with the
-// pinged address in the role of the target. Revelation probing is never
-// cached: it is multi-probe, state-dependent inference and re-running it
-// live against the current epoch is what keeps delta runs exact.
+// candidate-egress ping) are cached the same way in a per-VP ping table,
+// each with the footprint of its one probe and reply. Revelation probing
+// is never cached: it is multi-probe, state-dependent inference and
+// re-running it live against the current epoch is what keeps delta runs
+// exact.
 //
-// Memory model: an entry can hit again only while its slot's index points
-// at it and it carries the current convergence epoch (Find needs the exact
-// epoch, and epochs only grow). Every other entry is dead: superseded by a
-// re-probe of its target (marked when Record or RecordPing overwrites the
-// index slot, since under strict offsets the replacement may carry the
-// same epoch), left stale by Invalidate, or left behind by a reconvergence
-// nobody invalidated. Begin, which runs at the start of every RunDelta,
-// compacts each (phase, vp) slot and each ping slot whose dead bytes
-// exceed its live bytes: it rewrites the log, entries and AS pool with
-// only the live entries, in recorded order, and remaps the index in
-// place. So after any loss-free RunDelta RetainedBytes stays within twice
-// the live bytes plus vector growth slack and the index. An entry costs
-// sizeof(Entry) (40 B) + 16 B header + 8 B per hop + the AS-set slice
-// (4 B per distinct AS on the path); a ping entry sizeof(PingEntry).
+// Memory model: an entry can hit again only while its table's index
+// points at it and it carries the current convergence epoch (Find needs
+// the exact epoch, and epochs only grow). Every other entry is dead:
+// superseded by a re-probe of its target (marked when Record or
+// RecordPing overwrites the index slot, since under strict offsets the
+// replacement may carry the same epoch), left stale by Invalidate, or
+// left behind by a reconvergence nobody invalidated. Begin, which runs at
+// the start of every RunDelta, compacts each (phase, vp) slot and each
+// ping slot whose dead bytes exceed its live bytes: it rewrites the log,
+// entries and footprint pool with only the live entries, in recorded
+// order, and remaps the index in place. So after any loss-free RunDelta
+// RetainedBytes stays within twice the live bytes plus vector growth
+// slack and the index. A trace entry costs sizeof(Entry) (40 B) + 16 B
+// header + 8 B per hop + 4 B per footprint AS; a ping entry
+// sizeof(PingEntry) (48 B) + 4 B per footprint AS.
 //
 // Thread safety: Begin and Invalidate require exclusivity. Find / Record
 // / LogOf touch only the (phase, vp) slot they name, so any number of
@@ -43,6 +42,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -89,11 +89,12 @@ class TraceCache {
                             std::uint64_t probes_sent,
                             bool strict_offsets) const;
 
-  /// Records a freshly traced result for (phase, vp, trace.target),
+  /// Records a freshly traced result for (phase, vp, trace.target) with
+  /// its sorted `footprint` (the prober's sim::Footprint::ases()),
   /// superseding any older entry for the same target.
   void Record(Phase phase, std::size_t vp, const probe::TraceResult& trace,
-              std::uint64_t epoch, std::uint64_t start_probe_count,
-              std::uint64_t probes_used);
+              std::span<const topo::AsNumber> footprint, std::uint64_t epoch,
+              std::uint64_t start_probe_count, std::uint64_t probes_used);
 
   /// The packed log Lookup::trace_index points into.
   [[nodiscard]] const CompactTraceLog& LogOf(Phase phase,
@@ -115,24 +116,26 @@ class TraceCache {
                                     std::uint64_t probes_sent,
                                     bool strict_offsets) const;
 
-  /// Records a freshly issued ping for (vp, ping.target), superseding
-  /// any older entry for the same address. `source` is the vantage
-  /// point's address (binds the per-VP ping slot).
-  void RecordPing(std::size_t vp, netbase::Ipv4Address source,
-                  const probe::PingResult& ping, std::uint64_t epoch,
-                  std::uint64_t start_probe_count,
+  /// Records a freshly issued ping for (vp, ping.target) with its sorted
+  /// `footprint`, superseding any older entry for the same address.
+  void RecordPing(std::size_t vp, const probe::PingResult& ping,
+                  std::span<const topo::AsNumber> footprint,
+                  std::uint64_t epoch, std::uint64_t start_probe_count,
                   std::uint64_t probes_used);
 
-  /// Applies a convergence delta: kGlobal drops everything; kIntraAs
-  /// promotes every provably-unaffected previous-epoch entry to
-  /// delta.epoch and leaves the (conservative) dirty set stale. The
-  /// oracle must mirror the POST-reconvergence AS level — for an
-  /// intra-AS flap that equals the pre-flap level, so a single oracle
-  /// stays valid until the next kGlobal delta.
+  /// Applies a convergence delta to every entry of the previous epoch
+  /// (delta.epoch - 1): kNone promotes each to delta.epoch, kIntraAs
+  /// promotes exactly those whose footprint misses delta.touched_as and
+  /// leaves the rest stale, and kGlobal drops every entry.
+  void Invalidate(const routing::ConvergenceDelta& delta);
+
+  /// Invalidate(delta); the oracle is ignored. Kept only because the
+  /// repository benchmark (perfbench/perfbench.cpp) still passes one; it
+  /// goes with the next change to that benchmark (ROADMAP item 8).
   void Invalidate(const routing::ConvergenceDelta& delta,
                   const routing::AsPathOracle& oracle);
 
-  /// Bytes retained by logs, entries, AS slices and indexes (bench/test
+  /// Bytes retained by logs, entries, footprints and indexes (bench/test
   /// memory accounting).
   [[nodiscard]] std::size_t RetainedBytes() const;
 
@@ -143,54 +146,43 @@ class TraceCache {
     std::uint64_t epoch = 0;
     std::uint64_t start_probe_count = 0;
     std::uint32_t probes_used = 0;
-    /// [as_begin, as_end) slice of Slot::as_pool: sorted distinct ASes
-    /// of the vantage point, the target and every responding hop.
+    /// [as_begin, as_end) slice of the table's as_pool: the footprint.
     std::uint32_t as_begin = 0;
     std::uint32_t as_end = 0;
-    /// Some address did not resolve to an AS — always dirty.
-    bool any_unknown_as = false;
     /// The index points at a newer entry for the target: never hits again.
     bool superseded = false;
   };
   static_assert(sizeof(Entry) <= 40, "the superseded mark fills padding");
-  struct Slot {
-    netbase::Ipv4Address vantage_point{};
-    topo::AsNumber vp_as = 0;
-    bool bound = false;
-    CompactTraceLog log;
-    std::vector<Entry> entries;
-    /// target address value -> index of the newest entry for that target.
-    std::unordered_map<std::uint32_t, std::uint32_t> index;
-    std::vector<topo::AsNumber> as_pool;
-  };
   struct PingEntry {
     /// The pinged address.
     netbase::Ipv4Address target;
-    /// AddressAs(target) at record time; 0 (unresolved) = always dirty.
-    topo::AsNumber asn = 0;
+    /// As Entry's.
+    std::uint32_t as_begin = 0;
     std::uint64_t epoch = 0;
     std::uint64_t start_probe_count = 0;
     std::uint32_t probes_used = 0;
-    bool responded = false;
-    /// As Entry::superseded.
-    bool superseded = false;
+    std::uint32_t as_end = 0;
     int reply_ip_ttl = 0;
+    bool responded = false;
+    bool superseded = false;
     double rtt_ms = 0.0;
   };
-  struct PingSlot {
-    netbase::Ipv4Address vantage_point{};
-    topo::AsNumber vp_as = 0;
-    bool bound = false;
-    std::vector<PingEntry> entries;
-    /// pinged address value -> index of the newest entry for it.
+  /// One vantage point's entries of one kind.
+  template <typename E>
+  struct Table {
+    std::vector<E> entries;
+    /// target address value -> index of the newest entry for that target.
     std::unordered_map<std::uint32_t, std::uint32_t> index;
+    /// The entries' footprints, back to back.
+    std::vector<topo::AsNumber> as_pool;
   };
+  struct Slot : Table<Entry> {
+    CompactTraceLog log;
+  };
+  using PingSlot = Table<PingEntry>;
 
   [[nodiscard]] const Slot& SlotOf(Phase phase, std::size_t vp) const;
   [[nodiscard]] Slot& SlotOf(Phase phase, std::size_t vp);
-  /// The AS of the router owning `address`, or of the gateway of the
-  /// host owning it; 0 when neither resolves.
-  [[nodiscard]] topo::AsNumber AddressAs(netbase::Ipv4Address address) const;
   /// Rewrites `slot` with only its entries that can hit at `epoch` once
   /// their bytes are outweighed by those of the entries that cannot.
   static void Compact(Slot& slot, std::uint64_t epoch);

@@ -24,6 +24,7 @@ MplsConfig DefaultConfigFor(topo::Vendor vendor) {
 }
 
 void MplsConfigMap::EnableAs(topo::AsNumber asn, const AsOptions& options) {
+  exec::MutexLock lock(mutex_);
   for (const topo::RouterId rid : topology_->as(asn).routers) {
     MplsConfig config = DefaultConfigFor(topology_->router(rid).vendor);
     config.enabled = true;
@@ -35,10 +36,12 @@ void MplsConfigMap::EnableAs(topo::AsNumber asn, const AsOptions& options) {
 }
 
 void MplsConfigMap::Set(topo::RouterId router, MplsConfig config) {
+  exec::MutexLock lock(mutex_);
   configs_[router] = config;
 }
 
 const MplsConfig& MplsConfigMap::For(topo::RouterId router) const {
+  exec::MutexLock lock(mutex_);
   const auto it = configs_.find(router);
   if (it != configs_.end()) return it->second;
   // Lazily materialise the vendor default (disabled) so we can hand out a
@@ -49,6 +52,7 @@ const MplsConfig& MplsConfigMap::For(topo::RouterId router) const {
 }
 
 MplsConfig& MplsConfigMap::Mutable(topo::RouterId router) {
+  exec::MutexLock lock(mutex_);
   const auto it = configs_.find(router);
   if (it != configs_.end()) return it->second;
   return configs_

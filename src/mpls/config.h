@@ -10,6 +10,7 @@
 
 #include <unordered_map>
 
+#include "exec/sync.h"
 #include "topo/topology.h"
 
 namespace wormhole::mpls {
@@ -65,6 +66,14 @@ MplsConfig DefaultConfigFor(topo::Vendor vendor);
 
 /// The MPLS configuration of every router in a topology. Routers without an
 /// explicit entry fall back to their vendor default (MPLS disabled).
+///
+/// Thread-safe: every member locks, because the LDP domains of different
+/// ASes are built in parallel (mpls::LdpTables) and each calls For, which
+/// materialises a missing default. The members run only while worlds are
+/// built and converged, never per hop: the engine resolves each router's
+/// config pointer once. Entries are never erased and the map is
+/// node-based, so a returned reference stays valid and sees later edits
+/// through Mutable and Set.
 class MplsConfigMap {
  public:
   explicit MplsConfigMap(const topo::Topology& topology)
@@ -88,7 +97,9 @@ class MplsConfigMap {
 
  private:
   const topo::Topology* topology_;
-  mutable std::unordered_map<topo::RouterId, MplsConfig> configs_;
+  mutable exec::Mutex mutex_;
+  mutable std::unordered_map<topo::RouterId, MplsConfig> configs_
+      GUARDED_BY(mutex_);
 };
 
 }  // namespace wormhole::mpls

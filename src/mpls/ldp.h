@@ -78,22 +78,6 @@ class LdpDomain {
 
   [[nodiscard]] topo::AsNumber asn() const { return asn_; }
 
-  /// One past the highest label any router of this domain allocated
-  /// (labels are dense from netbase::kFirstUnreservedLabel, so this is
-  /// kFirstUnreservedLabel + the largest per-router binding count);
-  /// kFirstUnreservedLabel when nothing is bound. The convergence delta
-  /// uses [kFirstUnreservedLabel, ceiling) as the conservative "touched
-  /// label range" of a rebuilt domain. The max over the unordered table
-  /// is order-independent, so the result is deterministic.
-  [[nodiscard]] std::uint32_t LabelCeiling() const {
-    std::size_t labels = 0;
-    for (const auto& [rid, tables] : tables_) {
-      labels = std::max(labels, tables.label_to_fec.size());
-    }
-    return netbase::kFirstUnreservedLabel +
-           static_cast<std::uint32_t>(labels);
-  }
-
  private:
   /// Flat converged tables: ~10^2 FECs per router makes binary search on
   /// a sorted vector beat a node-based hash map on both build cost (zero

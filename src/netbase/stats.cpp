@@ -116,48 +116,6 @@ double IntDistribution::AsymmetryAround(int center) const {
          static_cast<double>(total_);
 }
 
-void Summary::Add(double value) {
-  values_.push_back(value);
-  sorted_ = false;
-}
-
-double Summary::Mean() const {
-  if (values_.empty()) return 0.0;
-  double sum = 0.0;
-  for (const double v : values_) sum += v;
-  return sum / static_cast<double>(values_.size());
-}
-
-double Summary::StdDev() const {
-  if (values_.size() < 2) return 0.0;
-  const double mean = Mean();
-  double sum = 0.0;
-  for (const double v : values_) sum += (v - mean) * (v - mean);
-  return std::sqrt(sum / static_cast<double>(values_.size()));
-}
-
-double Summary::Min() const {
-  if (values_.empty()) return 0.0;
-  return *std::min_element(values_.begin(), values_.end());
-}
-
-double Summary::Max() const {
-  if (values_.empty()) return 0.0;
-  return *std::max_element(values_.begin(), values_.end());
-}
-
-double Summary::Quantile(double q) const {
-  if (values_.empty()) throw std::logic_error("quantile of empty summary");
-  if (!sorted_) {
-    std::sort(values_.begin(), values_.end());
-    sorted_ = true;
-  }
-  q = std::clamp(q, 0.0, 1.0);
-  const auto index = static_cast<std::size_t>(
-      q * static_cast<double>(values_.size() - 1));
-  return values_[index];
-}
-
 NormalFit FitNormal(const IntDistribution& d) {
   NormalFit fit;
   fit.mean = d.Mean();

@@ -53,24 +53,6 @@ class IntDistribution {
   std::uint64_t total_ = 0;
 };
 
-/// Simple running summary for real-valued samples (RTTs, densities).
-class Summary {
- public:
-  void Add(double value);
-  [[nodiscard]] std::size_t count() const { return values_.size(); }
-  [[nodiscard]] bool empty() const { return values_.empty(); }
-  [[nodiscard]] double Mean() const;
-  [[nodiscard]] double StdDev() const;
-  [[nodiscard]] double Min() const;
-  [[nodiscard]] double Max() const;
-  [[nodiscard]] double Quantile(double q) const;
-  [[nodiscard]] double Median() const { return Quantile(0.5); }
-
- private:
-  mutable std::vector<double> values_;
-  mutable bool sorted_ = true;
-};
-
 /// Result of fitting a normal distribution by moments.
 struct NormalFit {
   double mean = 0.0;

@@ -31,6 +31,7 @@ void Prober::Traceroute(netbase::Ipv4Address target,
   result.reached = false;
   result.unreachable = false;
   forward_cursor_.Reset();
+  footprint_.Clear();
 
   int consecutive_timeouts = 0;
   for (int ttl = options.first_ttl; ttl <= options.max_ttl; ++ttl) {
@@ -45,8 +46,8 @@ void Prober::Traceroute(netbase::Ipv4Address target,
       probe.flow_id = options.flow_id;
       probe.probe_id = next_probe_id_++;
       ++probes_sent_;
-      outcome =
-          engine_->Send(std::move(probe), &reply_memo_, &forward_cursor_);
+      outcome = engine_->Send(std::move(probe), &reply_memo_,
+                              &forward_cursor_, &footprint_);
       if (outcome.received) break;
     }
 
@@ -88,8 +89,9 @@ PingResult Prober::Ping(netbase::Ipv4Address target, std::uint16_t flow_id) {
   probe.probe_id = next_probe_id_++;
   ++probes_sent_;
 
+  footprint_.Clear();
   const sim::Engine::Outcome outcome =
-      engine_->Send(std::move(probe), &reply_memo_);
+      engine_->Send(std::move(probe), &reply_memo_, nullptr, &footprint_);
   PingResult result;
   result.target = target;
   if (outcome.received &&

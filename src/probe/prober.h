@@ -5,6 +5,7 @@
 
 #include "probe/trace.h"
 #include "sim/engine.h"
+#include "sim/footprint.h"
 #include "sim/forward_cursor.h"
 #include "sim/reply_memo.h"
 
@@ -70,6 +71,13 @@ class Prober {
     return forward_cursor_;
   }
 
+  /// The ASes the last Traceroute's or Ping's probes and replies crossed
+  /// (sim/footprint.h): cleared when each starts. Not measurement data —
+  /// what the trace cache's dirty rule reads.
+  [[nodiscard]] const sim::Footprint& footprint() const {
+    return footprint_;
+  }
+
   /// Back to a fresh prober's observable state: probe ids restart at 1
   /// and the sent counter at 0. The reply memo and the forward cursor keep
   /// their storage; the memo still holds only walks of the current epoch
@@ -96,6 +104,7 @@ class Prober {
   std::uint64_t probes_sent_ = 0;
   sim::ReplyMemo reply_memo_;
   sim::ForwardCursor forward_cursor_;
+  sim::Footprint footprint_;
 };
 
 }  // namespace wormhole::probe

@@ -1,26 +1,12 @@
-// AS-level path oracle for dirty-set computation (docs/incremental.md).
-//
-// Given the converged AS-level BGP state, the oracle answers: "which ASes
-// can the forwarding path from AS `from` to address `to` traverse?" — by
-// replaying, at the AS level, exactly the longest-prefix decisions the
-// per-router BGP install makes (routing/bgp.cpp). The trace cache uses it
-// after an intra-AS flap in AS X to keep every cached trace whose forward
-// path, responder set and candidate return paths all provably avoid X.
-//
-// The answer is a SUPERSET of the ASes any packet-level path (including
-// hot-potato-asymmetric return paths, which stay inside the AS sequence)
-// can touch, or `false` when the walk cannot be bounded — the caller must
-// then assume the path may cross ANY AS. Over-approximation is always
-// safe; the exhaustive per-link flap test in
-// tests/test_convergence_parity.cpp pins that nothing is under-
-// approximated.
+// An empty stand-in for the AS-level path oracle the trace cache's dirty
+// rule once consulted. The cache now reads the ASes each trace's walks
+// crossed (docs/incremental.md), so nothing reads an oracle. Kept only
+// because the repository benchmark (perfbench/perfbench.cpp) still builds
+// one after every flap and passes it to the two-argument
+// campaign::TraceCache::Invalidate; both go with the next change to that
+// benchmark (ROADMAP item 8).
 #pragma once
 
-#include <cstdint>
-#include <map>
-#include <vector>
-
-#include "netbase/ipv4.h"
 #include "routing/bgp.h"
 #include "topo/topology.h"
 
@@ -28,198 +14,8 @@ namespace wormhole::routing {
 
 class AsPathOracle {
  public:
-  /// All references must outlive the oracle. The oracle snapshots the
-  /// per-AS address blocks (and, in hierarchical mode, the core
-  /// aggregates) into sorted tables; `level` / `policy` are read per
-  /// query. Rebuild the oracle after any reconvergence that changes the
-  /// AS level (ConvergenceDelta::Scope::kGlobal) — an intra-AS flap
-  /// leaves the AS level untouched, so the oracle stays exact across it.
-  AsPathOracle(const topo::Topology& topology, const BgpLevel& level,
-               const BgpPolicy& policy);
-
-  /// Appends to `out` every AS the converged path from `from_as` towards
-  /// `to_addr` can traverse: the source AS, every transit AS of the
-  /// AS-level walk, the AS whose address block owns `to_addr`, and the
-  /// AS of the router (or host gateway) that owns the address itself
-  /// (they differ for border-subnet addresses carved from the peer's
-  /// block). Returns false when the walk cannot be bounded — unknown
-  /// owner, unreachable destination, missing next-hop entry, loop guard —
-  /// in which case `out`'s contents are unspecified and the caller must
-  /// treat the path as possibly crossing any AS. Never returns false
-  /// merely because the path is long; the guard bound is #ASes + 2.
-  bool CollectPathAses(topo::AsNumber from_as, netbase::Ipv4Address to_addr,
-                       std::vector<topo::AsNumber>& out) const;
-
-  /// Convenience for tests: can the path touch `asn`? (Unbounded walks
-  /// answer true — conservative.)
-  [[nodiscard]] bool PathMayContain(topo::AsNumber from_as,
-                                    netbase::Ipv4Address to_addr,
-                                    topo::AsNumber asn) const;
-
-  /// The AS whose address block contains `address` (0 when none). AS
-  /// blocks are disjoint by construction (hierarchical aggregates cover
-  /// customer blocks but `Topology::as(asn).block` is always the AS's own
-  /// carve), so the owner is unique.
-  [[nodiscard]] topo::AsNumber BlockOwnerOf(
-      netbase::Ipv4Address address) const;
-
- private:
-  struct OwnedPrefix {
-    netbase::Prefix prefix;
-    topo::AsNumber asn = 0;
-  };
-
-  /// Hierarchical mode: the core AS whose announced aggregate covers
-  /// `address` (0 when none). Mirrors the aggregate routes
-  /// FlattenHierarchicalExits installs.
-  [[nodiscard]] topo::AsNumber AggregateOwnerOf(
-      netbase::Ipv4Address address) const;
-  /// The AS of the router owning `address` as an interface, or of the
-  /// gateway of the host owning it (0 when neither).
-  [[nodiscard]] topo::AsNumber RouterOwnerOf(
-      netbase::Ipv4Address address) const;
-  [[nodiscard]] bool IsStub(topo::AsNumber asn) const;
-  [[nodiscard]] bool Adjacent(topo::AsNumber a, topo::AsNumber b) const;
-  /// A stub's single default-route target: its first non-stub peer in
-  /// ASN order (exactly FlattenHierarchicalExits' choice).
-  [[nodiscard]] topo::AsNumber PrimaryProviderOf(topo::AsNumber stub) const;
-  /// Uncached fallbacks for ASNs outside the flat tables below.
-  [[nodiscard]] bool IsStubSlow(topo::AsNumber asn) const;
-  [[nodiscard]] topo::AsNumber PrimaryProviderOfSlow(
-      topo::AsNumber stub) const;
-
-  const topo::Topology* topology_;
-  const BgpLevel* level_;
-  const BgpPolicy* policy_;
-  /// Every AS's own block, sorted by base address (disjoint).
-  std::vector<OwnedPrefix> blocks_;
-  /// Hierarchical mode: each core AS's announced aggregate, sorted by
-  /// base address (disjoint — gen::internet bump-allocates them).
-  std::vector<OwnedPrefix> aggregates_;
-  /// Flat ASN-indexed snapshots of the stub set and of every AS's
-  /// first non-stub peer, so the dirty-set classifiers' per-AS queries
-  /// are one load instead of a tree walk. ASNs beyond the topology's
-  /// maximum fall back to the exact slow paths.
-  std::vector<std::uint8_t> stub_flat_;
-  std::vector<topo::AsNumber> provider_flat_;
-
-  friend class ReturnPathClassifier;
-  friend class ForwardPathClassifier;
-};
-
-/// Memoized many-source form of PathMayContain for one FIXED destination
-/// address: answers "can the path from AS `from` to `to_addr` touch
-/// `touched`?" for thousands of distinct sources in amortized O(1) each.
-///
-/// The speedup comes from the walk's shape: past the source's first hop,
-/// every walk toward the same destination shares its tail, so per-AS
-/// verdicts memoize with path compression (a core AS's verdict is its
-/// successor's verdict unless it terminates the walk itself).
-///
-/// The verdict is exactly PathMayContain's — `true` for unbounded walks —
-/// so it inherits the same over-approximation guarantee. Not thread-safe
-/// (the memo mutates); TraceCache::Invalidate runs exclusively.
-class ReturnPathClassifier {
- public:
-  ReturnPathClassifier(const AsPathOracle& oracle,
-                       netbase::Ipv4Address to_addr, topo::AsNumber touched);
-
-  [[nodiscard]] bool MayContain(topo::AsNumber from_as);
-
- private:
-  enum : std::uint8_t { kUnknown = 0, kInProgress, kClean, kDirty };
-
-  /// Verdict of the core walk starting at `cur` (flat mode: the whole
-  /// walk). Marks every node on the walked path, so later sources whose
-  /// walks join it stop at the first memoized node.
-  bool CoreWalkDirty(topo::AsNumber cur);
-
-  const AsPathOracle* oracle_;
-  topo::AsNumber touched_ = 0;
-  topo::AsNumber owner_ = 0;
-  topo::AsNumber router_owner_ = 0;
-  topo::AsNumber target_core_ = 0;
-  bool owner_stub_ = false;
-  /// Prologue failed (unknown owner, missing next_for row, ...): every
-  /// source answers dirty, matching CollectPathAses returning false.
-  bool all_dirty_ = false;
-  const std::map<topo::AsNumber, topo::AsNumber>* row_ = nullptr;
-  /// Flat ASN-indexed memos (generated ASNs are small and dense; the
-  /// tables cost a few KB and make the per-query hit path one load).
-  /// Out-of-range ASNs answer dirty without being memoized.
-  std::vector<std::uint8_t> core_;
-  std::vector<std::uint8_t> verdicts_;
-};
-
-/// Memoized many-target form of the forward walk for one FIXED source AS:
-/// Dirty(target, owner) answers "may the forward path from `from_as`
-/// toward `target` cross `reply`'s touched AS, or any AS on that path
-/// have a return path to `reply`'s destination that may cross it?" —
-/// TraceCache::Invalidate's whole per-entry forward test except
-/// RouterOwnerOf(target), which is an element of the entry's recorded
-/// responder footprint and is covered by that scan instead.
-///
-/// Two flat memo layers exploit the walk's shape. Past the source's
-/// fixed first hop, the core walk is a function of the aggregate's
-/// announcer alone (one next_for row per core AS, so at most a handful
-/// of distinct walks), and the final verdict a function of the target's
-/// block owner: a clean announcer walk plus, for stub owners, one scan
-/// of the recorded walk path for the neighbor delivering the
-/// customer-block route. Both collapse thousands of per-target
-/// CollectPathAses replays into amortized-O(1) lookups.
-///
-/// Every deviation from the exact per-target walk over-approximates
-/// toward dirty (e.g. a walk the exact code would stop early at a
-/// customer-block neighbor still has its full tail reply-checked), and
-/// unbounded walks answer dirty, exactly like CollectPathAses returning
-/// false. `reply` must outlive the classifier and answer for the same
-/// flap; its memo is shared and mutated. Not thread-safe.
-class ForwardPathClassifier {
- public:
-  ForwardPathClassifier(const AsPathOracle& oracle,
-                        ReturnPathClassifier& reply, topo::AsNumber from_as);
-
-  [[nodiscard]] bool Dirty(netbase::Ipv4Address target,
-                           topo::AsNumber owner);
-
- private:
-  enum : std::uint8_t { kUnknown = 0, kClean, kDirty };
-
-  [[nodiscard]] bool ComputeDirty(netbase::Ipv4Address target,
-                                  topo::AsNumber owner);
-  /// Walks next_for[announcer] from start_ to the announcer, recording
-  /// the path (for the stub-owner adjacency scan) and folding the
-  /// reply-path verdict of every AS on it into core_state_[announcer].
-  void WalkCore(topo::AsNumber announcer);
-  /// Index into adj_store_ of `asn`'s peer bitmap, built on first use.
-  [[nodiscard]] std::uint32_t AdjBitmapOf(topo::AsNumber asn);
-
-  const AsPathOracle* oracle_;
-  ReturnPathClassifier* reply_;
-  topo::AsNumber from_as_ = 0;
-  /// First core AS of every walk: the stub source's primary provider in
-  /// hierarchical mode, the source itself otherwise.
-  topo::AsNumber start_ = 0;
-  /// Source-side prologue failed (unknown source AS, stub without a
-  /// provider) or the source/provider's own reply path is dirty — every
-  /// forward path shares those ASes, so every target answers dirty.
-  bool all_dirty_ = false;
-  /// Per-owner final verdicts and per-announcer walk verdicts, flat
-  /// ASN-indexed like ReturnPathClassifier's memos; out-of-range ASNs
-  /// answer dirty without being memoized.
-  std::vector<std::uint8_t> owner_state_;
-  std::vector<std::uint8_t> core_state_;
-  /// Clean announcer walks keep their path as a slice of pool_ for the
-  /// stub-owner adjacency scans; pool_adj_[i] indexes adj_store_ at the
-  /// adjacency bitmap of pool_[i], so each scan is pure array loads.
-  std::vector<std::uint32_t> path_begin_;
-  std::vector<std::uint32_t> path_end_;
-  std::vector<topo::AsNumber> pool_;
-  std::vector<std::uint32_t> pool_adj_;
-  /// One ASN-indexed peer bitmap per distinct path AS (a handful of
-  /// core ASes), built the first time a clean walk records that AS.
-  std::vector<std::vector<std::uint8_t>> adj_store_;
-  std::map<topo::AsNumber, std::uint32_t> adj_of_;
+  AsPathOracle(const topo::Topology& /*topology*/, const BgpLevel& /*level*/,
+               const BgpPolicy& /*policy*/) {}
 };
 
 }  // namespace wormhole::routing

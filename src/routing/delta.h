@@ -1,21 +1,14 @@
-// The convergence delta: what one Network::OnLinkStateChange actually
-// changed, exported so the measurement plane can invalidate cached traces
-// instead of re-running whole campaigns (docs/incremental.md).
+// The convergence delta: how far one Network::OnLinkStateChange reached,
+// exported so the measurement plane can invalidate cached traces instead
+// of re-running whole campaigns (docs/incremental.md).
 //
-// The delta is deliberately conservative and coarse: it names the touched
-// AS, the SPF trees that were dropped (sources + the union of their
-// router-id windows), the LDP label range the domain rebuild may have
-// re-allocated, and the BGP aggregate the AS announces. A consumer may
-// over-approximate dirtiness from it freely; it must never under-
-// approximate (the exhaustive per-link flap test in
-// tests/test_convergence_parity.cpp pins that).
+// A kIntraAs delta names the one AS whose routing, label and engine state
+// was rebuilt; campaign::TraceCache keeps every cached trace whose walks
+// visited none of that AS's routers (sim/footprint.h).
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "netbase/ipv4.h"
-#include "netbase/label.h"
 #include "topo/topology.h"
 
 namespace wormhole::routing {
@@ -23,8 +16,8 @@ namespace wormhole::routing {
 struct ConvergenceDelta {
   /// How far the reconvergence reached.
   ///  * kNone: nothing changed (no reconvergence ran).
-  ///  * kIntraAs: one AS's SPF trees / routes / LDP domain were rebuilt;
-  ///    the AS-level BGP state is untouched and still exact.
+  ///  * kIntraAs: one AS's SPF trees, FIBs, LDP domain and engine rows
+  ///    were rebuilt; every other router's state is untouched.
   ///  * kGlobal: the AS graph moved — every FIB was rebuilt and any
   ///    inter-AS path may have changed. Consumers should treat every
   ///    cached result as dirty.
@@ -40,32 +33,6 @@ struct ConvergenceDelta {
 
   /// kIntraAs only: the AS whose internal link flipped.
   topo::AsNumber touched_as = 0;
-
-  /// The SPF sources whose trees were dropped (the touched AS's members).
-  std::vector<topo::RouterId> stale_spf_sources;
-  /// Union of the dropped trees' router-id windows; empty when lo > hi
-  /// (no dropped source had a primed tree). Routers outside the window
-  /// were unreachable from every dropped source, so a hop on a router
-  /// outside it cannot have been routed by a dropped tree.
-  topo::RouterId spf_window_lo = 1;
-  topo::RouterId spf_window_hi = 0;
-
-  /// kIntraAs only: the label range the AS's LDP domain may have
-  /// re-allocated, inclusive; empty when lo > hi (AS not MPLS-enabled).
-  /// Covers max(before, after) of the rebuild — a shrinking domain still
-  /// invalidates the labels it used to bind.
-  std::uint32_t label_lo = netbase::kFirstUnreservedLabel;
-  std::uint32_t label_hi = 0;
-
-  /// kIntraAs only: the prefix the touched AS announces to the rest of
-  /// the world (its aggregate in hierarchical BGP, its own block
-  /// otherwise). Any address inside it may now route differently.
-  netbase::Prefix touched_aggregate{};
-
-  [[nodiscard]] bool has_spf_window() const {
-    return spf_window_lo <= spf_window_hi;
-  }
-  [[nodiscard]] bool has_label_range() const { return label_lo <= label_hi; }
 };
 
 }  // namespace wormhole::routing

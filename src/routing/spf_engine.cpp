@@ -102,53 +102,18 @@ void SpfEngine::Prime(const std::vector<RouterId>& sources,
   });
 }
 
-namespace {
-
-/// Collects the invalidation summary for `sources` from the trees as they
-/// stand, BEFORE they are reset: the window union must describe the trees
-/// being dropped, not their replacements.
-SpfInvalidation SummarizeDrop(
-    const std::vector<std::unique_ptr<SpfTree>>& trees,
-    const std::vector<RouterId>& sources) {
-  SpfInvalidation invalidation;
-  invalidation.sources = sources;
-  for (const RouterId source : sources) {
-    if (source >= trees.size()) continue;  // tree table not grown yet
-    const SpfTree* tree = trees[source].get();
-    if (tree == nullptr || tree->distance.empty()) continue;
-    const RouterId lo = tree->base;
-    const RouterId hi =
-        tree->base + static_cast<RouterId>(tree->distance.size()) - 1;
-    if (!invalidation.has_window()) {
-      invalidation.window_lo = lo;
-      invalidation.window_hi = hi;
-    } else {
-      invalidation.window_lo = std::min(invalidation.window_lo, lo);
-      invalidation.window_hi = std::max(invalidation.window_hi, hi);
-    }
-  }
-  return invalidation;
-}
-
-}  // namespace
-
-SpfInvalidation SpfEngine::ApplyTopologyChange(
+void SpfEngine::ApplyTopologyChange(
     const std::vector<RouterId>& stale_sources) {
   exec::RoleLock build(build_role_);
-  SpfInvalidation invalidation = SummarizeDrop(trees_, stale_sources);
   seen_version_ = topology_->version();
   RebuildAdjacency();
   trees_.resize(topology_->router_count());
   for (const RouterId source : stale_sources) trees_.at(source).reset();
-  return invalidation;
 }
 
-SpfInvalidation SpfEngine::InvalidateTrees(
-    const std::vector<RouterId>& sources) {
+void SpfEngine::InvalidateTrees(const std::vector<RouterId>& sources) {
   exec::RoleLock build(build_role_);
-  SpfInvalidation invalidation = SummarizeDrop(trees_, sources);
   for (const RouterId source : sources) trees_.at(source).reset();
-  return invalidation;
 }
 
 void SpfEngine::ComputeInto(RouterId source, SpfTree& tree,

@@ -79,19 +79,6 @@ struct SpfTree {
   }
 };
 
-/// What one invalidation dropped: the stale sources and the union of
-/// their primed trees' router-id windows (empty — lo > hi — when none of
-/// the dropped sources had a primed tree). Consumed by the convergence
-/// delta (routing/delta.h): a router outside the window was unreachable
-/// from every dropped source, so no dropped tree ever routed through it.
-struct SpfInvalidation {
-  std::vector<RouterId> sources;
-  RouterId window_lo = 1;
-  RouterId window_hi = 0;
-
-  [[nodiscard]] bool has_window() const { return window_lo <= window_hi; }
-};
-
 /// Per-topology SPF cache + the allocation-light Dijkstra that fills it.
 ///
 /// The engine snapshots the topology's intra-AS adjacency into a flat CSR
@@ -132,16 +119,12 @@ class SpfEngine {
   /// bound: only the trees rooted at `stale_sources` are dropped, every
   /// other cached tree is kept. The caller asserts that no other source's
   /// shortest paths changed (e.g. an intra-AS link flip only invalidates
-  /// that AS's members; an inter-AS flip invalidates none). Returns what
-  /// was dropped, windows captured before the reset, for the convergence
-  /// delta.
-  SpfInvalidation ApplyTopologyChange(
-      const std::vector<RouterId>& stale_sources);
+  /// that AS's members; an inter-AS flip invalidates none).
+  void ApplyTopologyChange(const std::vector<RouterId>& stale_sources);
 
   /// Drops the listed trees without touching the version or adjacency —
-  /// for benchmarks and tests that force recomputation. Returns the same
-  /// invalidation summary as ApplyTopologyChange.
-  SpfInvalidation InvalidateTrees(const std::vector<RouterId>& sources);
+  /// for benchmarks and tests that force recomputation.
+  void InvalidateTrees(const std::vector<RouterId>& sources);
 
   /// Total Dijkstra runs since construction (the "exactly one SPF per
   /// (AS, router) per convergence" counting hook).

@@ -7,6 +7,7 @@
 
 #include "exec/thread_pool.h"
 #include "netbase/contracts.h"
+#include "sim/footprint.h"
 #include "sim/forward_cursor.h"
 #include "sim/reply_memo.h"
 #include "sim/vendor.h"
@@ -114,6 +115,10 @@ Engine::Engine(const topo::Topology& topology,
   for (const topo::Host& host : topology.hosts()) {
     router_cache_[host.gateway].hosts.push_back(
         AttachedHost{host.address, host.stub_interface});
+  }
+  router_as_.reserve(topology.router_count());
+  for (const topo::Router& router : topology.routers()) {
+    router_as_.push_back(router.asn);
   }
   adjacency_.reserve(topology.link_count());
   for (const topo::Link& link : topology.links()) {
@@ -343,7 +348,8 @@ EngineStats Engine::stats() const {
 }
 
 Engine::Outcome Engine::Send(netbase::Packet probe, ReplyMemo* memo,
-                             ForwardCursor* cursor) const {
+                             ForwardCursor* cursor,
+                             Footprint* footprint) const {
   const topo::Host* origin = topology_->FindHost(probe.src);
   if (origin == nullptr) {
     throw std::invalid_argument("Send: probe.src is not an attached host");
@@ -368,6 +374,7 @@ Engine::Outcome Engine::Send(netbase::Packet probe, ReplyMemo* memo,
   transit.router = origin->gateway;
   transit.in_interface = origin->stub_interface;
   transit.follows = 1;  // the IP-TTL is the probe's TTL
+  transit.footprint = footprint;
   // Every reply the walk originates is addressed to the probe's src, the
   // origin host. A host attached after this engine was built has no
   // column in the routes-home table.
@@ -441,12 +448,16 @@ Engine::StepResult Engine::WalkForward(Transit& t, EngineStats& stats,
       p.elapsed_ms = saved.elapsed_ms;
     }
     stats = saved.stats;
+    if (Footprint* footprint = t.footprint) {
+      for (const topo::AsNumber asn : cursor.ases_) footprint->Add(asn);
+    }
     ++cursor.counts_.resumes;
     cursor.counts_.resumed_hops += saved.trail_size;
   } else {
     cursor.key_ = key;
     cursor.valid_ = true;
     cursor.trail_.clear();
+    cursor.ases_.clear();
     ++cursor.counts_.walks;
   }
 
@@ -464,9 +475,13 @@ Engine::StepResult Engine::WalkForward(Transit& t, EngineStats& stats,
     saved.trail_size = static_cast<std::uint32_t>(cursor.trail_.size());
     saved.follows = t.follows;
     saved.slack = t.slack;
+    const topo::AsNumber asn = router_as_[t.router];
     StepResult step = ProcessAt(t, stats);
     if (step.ended() || p.is_reply()) return step;
     cursor.trail_.push_back(t.link);
+    if (cursor.ases_.empty() || cursor.ases_.back() != asn) {
+      cursor.ases_.push_back(asn);
+    }
   }
 }
 
@@ -538,6 +553,12 @@ Engine::Outcome Engine::DrainReply(Transit& t, netbase::Ipv4Address origin,
       stats.icmp_generated += e->icmp_generated;
       stats.labels_pushed += e->labels_pushed;
       stats.labels_popped += e->labels_popped;
+      if (Footprint* footprint = t.footprint) {
+        for (std::uint32_t i = e->ases_begin; i < e->ases_begin + e->ases_size;
+             ++i) {
+          footprint->Add(memo->ases_[i]);
+        }
+      }
       StepResult replay{.loss = e->loss};
       if (e->loss == LossReason::kNone) {
         // Forward's additions, in walk order: a bit-identical elapsed
@@ -568,6 +589,7 @@ Engine::Outcome Engine::DrainReply(Transit& t, netbase::Ipv4Address origin,
   const EngineStats before = stats;
   while (true) {
     const int hops_before = p.hops_traversed;
+    if (recorder != nullptr) recorder->RecordAs(router_as_[t.router]);
     StepResult step = ProcessAt(t, stats);
     if (step.ended()) {
       if (recorder != nullptr) {
@@ -611,6 +633,7 @@ Engine::StepResult Engine::ProcessAt(Transit& t, EngineStats& stats) const {
     return StepResult{.loss = LossReason::kTtlLoop};
   }
   ++stats.hops_processed;
+  if (Footprint* footprint = t.footprint) footprint->Add(router_as_[t.router]);
   if (t.packet->has_labels()) return ProcessMpls(t, stats);
   return ProcessIp(t, stats);
 }

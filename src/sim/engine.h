@@ -48,6 +48,7 @@ class ThreadPool;
 
 namespace wormhole::sim {
 
+class Footprint;
 class ForwardCursor;
 class ReplyMemo;
 
@@ -156,12 +157,18 @@ class Engine {
   /// stats are exactly what the walk gives. Without them, every hop is
   /// walked: the reference path.
   ///
+  /// With a `footprint`, the AS of every router at which the probe's or
+  /// the reply's walk processes a hop is added to it, replayed and
+  /// resumed stretches included (sim/footprint.h): the same ASes at any
+  /// memo and cursor state.
+  ///
   /// Thread-safe: Send is logically const — routing/LDP/topology state is
   /// shared read-only, and the stats counters are sharded per thread — so
   /// any number of probers may inject packets concurrently, each with its
-  /// own memo and cursor.
+  /// own memo, cursor and footprint.
   Outcome Send(netbase::Packet probe, ReplyMemo* memo = nullptr,
-               ForwardCursor* cursor = nullptr) const;
+               ForwardCursor* cursor = nullptr,
+               Footprint* footprint = nullptr) const;
 
   /// Totals merged across the per-thread stat shards.
   [[nodiscard]] EngineStats stats() const;
@@ -186,6 +193,8 @@ class Engine {
     topo::InterfaceId in_interface = topo::kNoInterface;
     /// The link the packet last crossed (set by Forward).
     topo::LinkId link = topo::kNoLink;
+    /// Send's footprint (may be null): ProcessAt adds each hop's AS.
+    Footprint* footprint = nullptr;
     /// Index of the host every reply of this Send is addressed to: the
     /// probe's origin. kNoHost when Send was handed a reply, whose
     /// destination it does not know in advance, or when the origin was
@@ -321,20 +330,21 @@ class Engine {
   void CommitStats(const EngineStats& stats) const;
 
   /// Steps the fresh probe in `t` until it ends or turns into a reply,
-  /// resuming at `cursor`'s saved step when the probe continues its
-  /// trace, and saving the transit before every step it takes.
+  /// resuming at `cursor`'s saved step (and adding the skipped steps' ASes
+  /// to `t.footprint`) when the probe continues its trace, and saving the
+  /// transit before every step it takes.
   StepResult WalkForward(Transit& t, EngineStats& stats,
                          ForwardCursor& cursor) const;
 
   /// Runs the reply in `t` to its end — delivery or loss — and checks the
   /// delivery against `origin`. With a `memo` it replays a recorded walk
-  /// when the key matches and the hop budget allows, else walks and
-  /// records.
+  /// (and its ASes into `t.footprint`) when the key matches and the hop
+  /// budget allows, else walks and records.
   Outcome DrainReply(Transit& t, netbase::Ipv4Address origin,
                      EngineStats& stats, ReplyMemo* memo) const;
 
   /// One iteration of the hop loop: the max_hops guard, then one hop at
-  /// `t.router`.
+  /// `t.router`, whose AS goes into `t.footprint`.
   StepResult ProcessAt(Transit& t, EngineStats& stats) const;
   StepResult ProcessMpls(Transit& t, EngineStats& stats) const;
   StepResult ProcessIp(Transit& t, EngineStats& stats) const;
@@ -381,6 +391,9 @@ class Engine {
   std::vector<RouterCache> router_cache_;
   /// Indexed by LinkId; built once in the constructor.
   std::vector<Adjacency> adjacency_;
+  /// Each router's AS, indexed by RouterId: what footprints record, kept
+  /// apart from router_cache_ so the hop loop's reads stay dense.
+  std::vector<topo::AsNumber> router_as_;
   /// Routes home, router-major: entry [r * host_count_ + h] is
   /// fibs[r].Lookup(hosts[h].address). Replies index it instead of
   /// running a longest-prefix match (every reply heads to its probe's

@@ -20,8 +20,9 @@
 //    with the same src, dst and flow id, under the same engine,
 //    convergence epoch and topology version, and 0 <= d <= slack (d = 0
 //    is a retry). It re-adds the trail's jittered link delays for its own
-//    probe id (or reuses the saved elapsed time when jitter is off) and
-//    the prefix's stats, then re-runs the saved step. The ICMP-loss coin,
+//    probe id (or reuses the saved elapsed time when jitter is off), the
+//    prefix's stats and the prefix's ASes (to the caller's footprint,
+//    sim/footprint.h), then re-runs the saved step. The ICMP-loss coin,
 //    icmp_silent, local and host delivery and ICMP sent along the LSP all
 //    happen in that step, under the new probe id.
 //
@@ -101,6 +102,9 @@ class ForwardCursor {
   /// link's delay from the engine's adjacency record, exactly as Forward
   /// does.
   std::vector<topo::LinkId> trail_;
+  /// The ASes of the routers the trail's steps were taken at, in walk
+  /// order with runs collapsed: what a resume adds to the footprint.
+  std::vector<topo::AsNumber> ases_;
   Counts counts_;
 };
 

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "exec/thread_pool.h"
-#include "netbase/label.h"
 #include "routing/igp.h"
 
 namespace wormhole::sim {
@@ -105,26 +104,10 @@ void Network::ReconvergeAs(topo::AsNumber asn,
   const std::vector<topo::RouterId>& members = topology_->as(asn).routers;
   delta.scope = routing::ConvergenceDelta::Scope::kIntraAs;
   delta.touched_as = asn;
-  // The AS announces one prefix to the world; any address under it may
-  // route differently inside the AS now.
-  const auto aggregate = bgp_policy_.aggregates.find(asn);
-  delta.touched_aggregate = aggregate != bgp_policy_.aggregates.end()
-                                ? aggregate->second
-                                : topology_->as(asn).block;
-  // Label range before the LDP rebuild (the rebuild below may shrink it;
-  // a label the old domain bound is touched either way).
-  const mpls::LdpDomain* domain = ldp_.DomainOf(asn);
-  std::uint32_t label_ceiling =
-      domain == nullptr ? netbase::kFirstUnreservedLabel
-                        : domain->LabelCeiling();
 
   // Only this AS's shortest paths can have moved: drop and recompute its
   // members' trees, keep every other AS's.
-  const routing::SpfInvalidation dropped =
-      spf_.ApplyTopologyChange(members);
-  delta.stale_spf_sources = dropped.sources;
-  delta.spf_window_lo = dropped.window_lo;
-  delta.spf_window_hi = dropped.window_hi;
+  spf_.ApplyTopologyChange(members);
   spf_.Prime(members, pool_.get());
 
   // Slot-stable clear: the Engine caches `const Fib*` per router, so the
@@ -147,12 +130,6 @@ void Network::ReconvergeAs(topo::AsNumber asn,
   if (any_enabled) {
     ldp_.InstallDomain(
         asn, mpls::LdpDomain(*topology_, *configs_, asn, fibs_));
-    label_ceiling = std::max(
-        label_ceiling, ldp_.DomainOf(asn)->LabelCeiling());
-  }
-  if (label_ceiling > netbase::kFirstUnreservedLabel) {
-    delta.label_lo = netbase::kFirstUnreservedLabel;
-    delta.label_hi = label_ceiling - 1;
   }
 
   engine_->RefreshRouters(members);

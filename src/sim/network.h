@@ -64,11 +64,12 @@ class Network {
   /// `convergence_role_` capability below — every rebuild helper
   /// REQUIRES it, so mutation outside the phase fails to compile).
   ///
-  /// Returns the convergence delta — what the reconvergence dropped and
-  /// rebuilt, stamped with the new epoch — so epoch-versioned result
-  /// caches (campaign::TraceCache) can invalidate exactly the entries
-  /// the flip can have dirtied (docs/incremental.md). Callers that keep
-  /// no cache may ignore it.
+  /// Returns the convergence delta — how far the reconvergence reached
+  /// (its scope and, for an intra-AS flip, the one AS whose routing,
+  /// label and engine state it rebuilt), stamped with the new epoch — so
+  /// epoch-versioned result caches (campaign::TraceCache) can invalidate
+  /// exactly the entries whose walks crossed that AS
+  /// (docs/incremental.md). Callers that keep no cache may ignore it.
   routing::ConvergenceDelta OnLinkStateChange(topo::LinkId link);
 
   [[nodiscard]] Engine& engine() { return *engine_; }
@@ -83,9 +84,8 @@ class Network {
   [[nodiscard]] std::uint64_t convergence_epoch() const {
     return engine_->convergence_epoch();
   }
-  /// The cached AS-level BGP state / policy, exposed so the AS-path
-  /// oracle (routing::AsPathOracle) can mirror the converged AS-level
-  /// routing when computing dirty sets.
+  /// The cached AS-level BGP state and the policy it was computed under
+  /// (read-only).
   [[nodiscard]] const routing::BgpLevel& bgp_level() const {
     return bgp_level_;
   }
@@ -97,8 +97,9 @@ class Network {
   /// Full phased build: prime SPF, install IGP+BGP per router, seal,
   /// build LDP, build the engine.
   void ConvergeFull() REQUIRES(convergence_role_);
-  /// Rebuilds one AS after an internal link flip, filling `delta` with
-  /// what was dropped (scope kIntraAs).
+  /// Rebuilds one AS after an internal link flip: its members' SPF trees,
+  /// FIBs and engine rows and its LDP domain, nothing else (delta scope
+  /// kIntraAs, the AS touched).
   void ReconvergeAs(topo::AsNumber asn, routing::ConvergenceDelta& delta)
       REQUIRES(convergence_role_);
   /// Rebuilds the BGP layer everywhere after an inter-AS link flip

@@ -40,6 +40,7 @@ void ReplyMemo::Clear() {
   entries_.clear();
   labels_.clear();
   trail_.clear();
+  ases_.clear();
 }
 
 const ReplyMemo::Entry* ReplyMemo::Find(
@@ -66,6 +67,7 @@ bool ReplyMemo::BeginRecord(const netbase::LabelStack& key_labels) {
   if (entries_.size() >= kMaxEntries) Clear();
   record_labels_ = static_cast<std::uint32_t>(labels_.size());
   record_trail_ = static_cast<std::uint32_t>(trail_.size());
+  record_ases_ = static_cast<std::uint32_t>(ases_.size());
   labels_.insert(labels_.end(), key_labels.begin(), key_labels.end());
   return true;
 }
@@ -75,6 +77,10 @@ void ReplyMemo::CommitRecord(std::uint64_t hash, const Key& key,
                              const netbase::Packet& final_packet,
                              const EngineStats& delta) {
   const std::size_t key_labels = labels_.size() - record_labels_;
+  if (ases_.size() - record_ases_ > kMaxAses) {
+    AbortRecord();
+    return;
+  }
   if (loss == LossReason::kNone) {
     if (final_packet.labels.size() > kMaxLabels) {
       AbortRecord();
@@ -94,6 +100,8 @@ void ReplyMemo::CommitRecord(std::uint64_t hash, const Key& key,
   e.final_labels =
       static_cast<std::uint8_t>(labels_.size() - record_labels_ - key_labels);
   e.loss = loss;
+  e.ases_size = static_cast<std::uint8_t>(ases_.size() - record_ases_);
+  e.ases_begin = record_ases_;
   e.hops_processed = static_cast<std::uint32_t>(delta.hops_processed);
   e.icmp_generated = static_cast<std::uint32_t>(delta.icmp_generated);
   e.labels_pushed = static_cast<std::uint32_t>(delta.labels_pushed);
@@ -105,6 +113,7 @@ void ReplyMemo::CommitRecord(std::uint64_t hash, const Key& key,
 void ReplyMemo::AbortRecord() {
   labels_.resize(record_labels_);
   trail_.resize(record_trail_);
+  ases_.resize(record_ases_);
 }
 
 void ReplyMemo::Insert(std::uint32_t entry_index) {

@@ -14,8 +14,10 @@
 //    epoch (probe ids only feed per-link jitter, which is replayed, and
 //    origination loss, which is decided before the key is taken).
 //  * The value is the link trail, the final IP-TTL and labels (or the loss
-//    reason), and the walk's EngineStats deltas. A replay adds the trail's
-//    jittered link delays in walk order, so RTTs are bit-identical.
+//    reason), the ASes of the routers it processed hops at, and the walk's
+//    EngineStats deltas. A replay adds the trail's jittered link delays in
+//    walk order, so RTTs are bit-identical, and the ASes to the caller's
+//    footprint (sim/footprint.h).
 //  * The memo is stamped with the engine's convergence epoch and the
 //    topology version and empties itself when either moves. Configs may
 //    only change through a reconvergence (the TraceCache contract).
@@ -62,8 +64,10 @@ class ReplyMemo {
   /// are pure functions of the epoch's state, so dropping them costs only
   /// re-walks).
   static constexpr std::size_t kMaxEntries = std::size_t{1} << 18;
-  /// Label stacks deeper than this are walked, never recorded.
+  /// Label stacks deeper than this, and walks that change AS more often,
+  /// are walked, never recorded.
   static constexpr std::size_t kMaxLabels = 255;
+  static constexpr std::size_t kMaxAses = 255;
 
   struct Key {
     topo::RouterId router = topo::kNoRouter;
@@ -92,6 +96,10 @@ class ReplyMemo {
     std::uint8_t final_labels = 0;
     /// kNone: delivered to a host (the origin check runs at replay).
     LossReason loss = LossReason::kNone;
+    /// Pool slice of the ASes the walk processed hops in, in walk order
+    /// with runs collapsed.
+    std::uint8_t ases_size = 0;
+    std::uint32_t ases_begin = 0;
     std::uint32_t hops_processed = 0;
     std::uint32_t icmp_generated = 0;
     std::uint32_t labels_pushed = 0;
@@ -108,10 +116,16 @@ class ReplyMemo {
   [[nodiscard]] const Entry* Find(std::uint64_t hash, const Key& key,
                                   const netbase::LabelStack& labels) const;
 
-  // Recording one walk: Begin stores the key's labels, Step appends one
-  // forwarded link, and Commit (or Abort) closes the record. Begin returns
-  // false when the stack is too deep to record.
+  // Recording one walk: Begin stores the key's labels, As notes the AS of
+  // the router about to process a hop, Step appends one forwarded link,
+  // and Commit (or Abort) closes the record. Begin returns false when the
+  // stack is too deep to record.
   bool BeginRecord(const netbase::LabelStack& key_labels);
+  void RecordAs(topo::AsNumber asn) {
+    if (ases_.size() == record_ases_ || ases_.back() != asn) {
+      ases_.push_back(asn);
+    }
+  }
   void RecordStep(topo::LinkId link) { trail_.push_back(link); }
   void CommitRecord(std::uint64_t hash, const Key& key, LossReason loss,
                     const netbase::Packet& final_packet,
@@ -130,9 +144,12 @@ class ReplyMemo {
   /// Links walked, in order. Replays re-read each link's delay from the
   /// engine's adjacency record, exactly as Forward does.
   std::vector<topo::LinkId> trail_;
+  /// The records' AS slices.
+  std::vector<topo::AsNumber> ases_;
   /// Pool sizes when the open record began (AbortRecord rolls back).
   std::uint32_t record_labels_ = 0;
   std::uint32_t record_trail_ = 0;
+  std::uint32_t record_ases_ = 0;
   Counts counts_;
 };
 

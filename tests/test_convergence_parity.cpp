@@ -22,7 +22,6 @@
 #include "gen/internet.h"
 #include "mpls/ldp.h"
 #include "probe/trace.h"
-#include "routing/as_path.h"
 #include "routing/delta.h"
 #include "routing/fib.h"
 #include "routing/igp.h"
@@ -247,8 +246,8 @@ TEST(ConvergenceParity, OneSpfPerRouterPerConvergence) {
 // Delta re-probing (docs/incremental.md): the epoch-versioned TraceCache +
 // dirty-set invalidation must keep every RunDelta byte-identical to a cold
 // campaign against the current routing state. The exhaustive per-link test
-// below is the safety net for the dirty-set over-approximation rule — a
-// single under-approximated pair shows up as a byte diff.
+// below is the safety net for the footprint dirty rule — a single pair
+// promoted wrongly shows up as a byte diff.
 
 /// A world small enough to flap EVERY link with a campaign parity check
 /// per flap.
@@ -337,14 +336,6 @@ std::vector<topo::LinkId> InternalLinks(const gen::SyntheticInternet& world) {
   return links;
 }
 
-void Invalidate(campaign::TraceCache& cache, gen::SyntheticInternet& world,
-                const routing::ConvergenceDelta& delta) {
-  const routing::AsPathOracle oracle(world.topology(),
-                                     world.network().bgp_level(),
-                                     world.network().bgp_policy());
-  cache.Invalidate(delta, oracle);
-}
-
 /// Runs the Begin that RunDelta starts with and reports whether it
 /// compacted: short of a kGlobal reset, only a compaction shrinks a cache.
 bool Compacts(campaign::TraceCache& cache, gen::SyntheticInternet& world) {
@@ -368,7 +359,11 @@ std::size_t MemoryBound(gen::SyntheticInternet& world,
   return 4 * cache.RetainedBytes();
 }
 
-void ExhaustiveFlapParity(bool hierarchical) {
+/// Flaps every link of a tiny world down and up, with a delta run checked
+/// against a cold run after each flap. `oracle_reprobed` is the number of
+/// pairs the sweep re-probed under the AS-level path oracle the footprint
+/// rule replaced: an exact rule re-probes no more.
+void ExhaustiveFlapParity(bool hierarchical, std::uint64_t oracle_reprobed) {
   gen::SyntheticInternet world(TinyWorld(hierarchical));
   topo::Topology& topology = world.mutable_topology();
   const auto targets = world.AllLoopbacks();
@@ -393,10 +388,7 @@ void ExhaustiveFlapParity(bool hierarchical) {
       const routing::ConvergenceDelta delta =
           world.network().OnLinkStateChange(link);
       ASSERT_EQ(delta.epoch, world.network().convergence_epoch());
-      const routing::AsPathOracle oracle(topology,
-                                         world.network().bgp_level(),
-                                         world.network().bgp_policy());
-      cache.Invalidate(delta, oracle);
+      cache.Invalidate(delta);
       const auto result = delta_campaign.RunDelta(targets, cache);
       pairs_total += result.delta_pairs_total;
       pairs_reprobed += result.delta_pairs_reprobed;
@@ -408,14 +400,17 @@ void ExhaustiveFlapParity(bool hierarchical) {
   // no-op: across the sweep a meaningful share of pairs is served cached.
   ASSERT_GT(pairs_total, 0u);
   EXPECT_LT(pairs_reprobed, pairs_total);
+  EXPECT_LE(pairs_reprobed, oracle_reprobed);
 }
 
 TEST(DeltaReprobe, ExhaustiveFlapParityFlat) {
-  ExhaustiveFlapParity(/*hierarchical=*/false);
+  // Of 4860 pairs, the oracle re-probed 2927.
+  ExhaustiveFlapParity(/*hierarchical=*/false, /*oracle_reprobed=*/2927);
 }
 
 TEST(DeltaReprobe, ExhaustiveFlapParityHierarchical) {
-  ExhaustiveFlapParity(/*hierarchical=*/true);
+  // Of 2904 pairs, the oracle re-probed 1550.
+  ExhaustiveFlapParity(/*hierarchical=*/true, /*oracle_reprobed=*/1550);
 }
 
 TEST(DeltaReprobe, FlapStormMatchesColdAtEveryStep) {
@@ -429,7 +424,7 @@ TEST(DeltaReprobe, FlapStormMatchesColdAtEveryStep) {
 
   FlapStorm storm(world, AllLinks(world), 0x9E3779B97F4A7C15ull);
   for (int flap = 0; flap < 6; ++flap) {
-    Invalidate(cache, world, storm.Flap());
+    cache.Invalidate(storm.Flap());
     const auto result = delta_campaign.RunDelta(targets, cache);
     ExpectSameDump(CampaignBytes(result, topology),
                    ColdBytes(world, targets));
@@ -454,7 +449,7 @@ TEST(DeltaReprobe, FlapStormStaysWithinMemoryBound) {
   for (int flap = 0; flap < 200; ++flap) {
     const routing::ConvergenceDelta delta = storm.Flap();
     ASSERT_NE(delta.scope, routing::ConvergenceDelta::Scope::kGlobal);
-    Invalidate(cache, world, delta);
+    cache.Invalidate(delta);
     const auto result = delta_campaign.RunDelta(targets, cache);
     ExpectSameDump(CampaignBytes(result, topology),
                    ColdBytes(world, targets));
@@ -519,7 +514,7 @@ TEST(DeltaReprobe, LossyFlapStormAtShardOneMatchesCold) {
   std::uint64_t pairs_reprobed = 0;
   int compactions = 0;
   for (int flap = 0; flap < 16; ++flap) {
-    Invalidate(cache, world, storm.Flap());
+    cache.Invalidate(storm.Flap());
     if (Compacts(cache, world)) ++compactions;
     const auto result = delta_campaign.RunDelta(targets, cache);
     pairs_total += result.delta_pairs_total;
@@ -566,8 +561,8 @@ TEST(DeltaReprobe, ConcurrentCacheReadsAndReprobes) {
   bool compacted = false;
   for (int flap = 0; flap < 32 && !compacted; ++flap) {
     const routing::ConvergenceDelta delta = storm.Flap();
-    Invalidate(serial_cache, world, delta);
-    Invalidate(parallel_cache, world, delta);
+    serial_cache.Invalidate(delta);
+    parallel_cache.Invalidate(delta);
     compacted = Compacts(parallel_cache, world);
 
     const auto serial_result = serial.RunDelta(targets, serial_cache);
@@ -656,14 +651,14 @@ TEST(DeltaReprobe, CompactionKeepsEveryHitAndFootprint) {
   FlapStorm storm(world, InternalLinks(world), 0xE7037ED1A0B428DBull);
   int compactions = 0;
   for (int step = 0; step < 24; ++step) {
-    Invalidate(cache, world, storm.Flap());
+    cache.Invalidate(storm.Flap());
     campaign::TraceCache uncompacted = cache;
     if (Compacts(cache, world)) {
       ++compactions;
       ExpectSameHits(cache, uncompacted, world);
       const routing::ConvergenceDelta next = storm.Flap();
-      Invalidate(cache, world, next);
-      Invalidate(uncompacted, world, next);
+      cache.Invalidate(next);
+      uncompacted.Invalidate(next);
       ExpectSameHits(cache, uncompacted, world);
     }
     const auto result = delta_campaign.RunDelta(targets, cache);
@@ -678,7 +673,8 @@ TEST(DeltaReprobe, CompactionDropsSameEpochSupersessions) {
   // so only the mark Record leaves tells that entry is dead. Here one
   // target is re-recorded many times at one epoch, another is recorded
   // once at that epoch, and a third at the epoch before: Begin must keep
-  // exactly the newest entry of the first and the entry of the second.
+  // exactly the newest entry of the first and the entry of the second,
+  // each with its own footprint.
   gen::SyntheticInternet world(TinyWorld(/*hierarchical=*/false));
   const topo::Topology& topology = world.topology();
   const netbase::Ipv4Address vp = world.vantage_points().front();
@@ -709,6 +705,15 @@ TEST(DeltaReprobe, CompactionDropsSameEpochSupersessions) {
     trace.reached = true;
     return trace;
   };
+  // Record `k` of a target crossed k % 4 + 1 made-up ASes from 100 + k
+  // on, so kept footprints move in the pool too.
+  const auto footprint_of = [](int k) {
+    std::vector<topo::AsNumber> ases;
+    for (int i = 0; i <= k % 4; ++i) {
+      ases.push_back(static_cast<topo::AsNumber>(100 + k + i));
+    }
+    return ases;
+  };
   const auto ping_of = [&](netbase::Ipv4Address target, int k) {
     probe::PingResult ping;
     ping.target = target;
@@ -718,25 +723,28 @@ TEST(DeltaReprobe, CompactionDropsSameEpochSupersessions) {
     return ping;
   };
 
+  // Each target's trace and ping get the same footprint.
+  const auto record = [&](campaign::TraceCache& into,
+                          netbase::Ipv4Address target, int k,
+                          std::uint64_t epoch, std::uint64_t offset,
+                          std::uint64_t trace_probes) {
+    const std::vector<topo::AsNumber> footprint = footprint_of(k);
+    into.Record(kPhase, 0, trace_of(target, k), footprint, epoch, offset,
+                trace_probes);
+    into.RecordPing(0, ping_of(target, k), footprint, epoch, offset, 1);
+  };
   // What compaction must leave: the live entries alone.
   campaign::TraceCache want;
   want.Begin(topology, 1, kEpoch);
-  want.Record(kPhase, 0, trace_of(steady, 3), kEpoch, 0, 4);
-  want.Record(kPhase, 0, trace_of(churned, kRecords), kEpoch, kRecords, 1);
-  want.RecordPing(0, vp, ping_of(steady, 3), kEpoch, 0, 1);
-  want.RecordPing(0, vp, ping_of(churned, kRecords), kEpoch, kRecords, 1);
+  record(want, steady, 3, kEpoch, 0, 4);
+  record(want, churned, kRecords, kEpoch, kRecords, 1);
 
   campaign::TraceCache cache;
   cache.Begin(topology, 1, kEpoch - 1);
-  cache.Record(kPhase, 0, trace_of(stale, 7), kEpoch - 1, 0, 8);
-  cache.RecordPing(0, vp, ping_of(stale, 7), kEpoch - 1, 0, 1);
+  record(cache, stale, 7, kEpoch - 1, 0, 8);
   for (int k = 1; k <= kRecords; ++k) {
-    if (k == kRecords / 2) {
-      cache.Record(kPhase, 0, trace_of(steady, 3), kEpoch, 0, 4);
-      cache.RecordPing(0, vp, ping_of(steady, 3), kEpoch, 0, 1);
-    }
-    cache.Record(kPhase, 0, trace_of(churned, k), kEpoch, k, 1);
-    cache.RecordPing(0, vp, ping_of(churned, k), kEpoch, k, 1);
+    if (k == kRecords / 2) record(cache, steady, 3, kEpoch, 0, 4);
+    record(cache, churned, k, kEpoch, k, 1);
   }
   cache.Begin(topology, 1, kEpoch);
 
@@ -755,9 +763,81 @@ TEST(DeltaReprobe, CompactionDropsSameEpochSupersessions) {
   expect_kept(steady, 3, 0);
   EXPECT_FALSE(cache.Find(kPhase, 0, stale, kEpoch - 1, 0, true).hit);
   EXPECT_FALSE(cache.FindPing(0, stale, kEpoch - 1, 0, true).hit);
+
+  // The footprints moved with their entries: a flap in steady's AS 104
+  // leaves steady stale and promotes churned, whose one AS is 140.
+  cache.Invalidate({.epoch = kEpoch + 1,
+                    .scope = routing::ConvergenceDelta::Scope::kIntraAs,
+                    .touched_as = 104});
+  EXPECT_TRUE(cache.Find(kPhase, 0, churned, kEpoch + 1, kRecords, true).hit);
+  EXPECT_TRUE(cache.FindPing(0, churned, kEpoch + 1, kRecords, true).hit);
+  EXPECT_FALSE(cache.Find(kPhase, 0, steady, kEpoch + 1, 0, true).hit);
+  EXPECT_FALSE(cache.FindPing(0, steady, kEpoch + 1, 0, true).hit);
+}
+
+TEST(TraceCache, InvalidateKeepsExactlyTheEntriesWhoseFootprintMissesTheAs) {
+  // Made-up footprints over ASes 1..4 (one empty), each on a trace and a
+  // ping of its own target. After a kIntraAs delta an entry hits at the
+  // new epoch exactly when the touched AS is outside its footprint; kNone
+  // keeps every entry and kGlobal none.
+  gen::SyntheticInternet world(TinyWorld(/*hierarchical=*/false));
+  const topo::Topology& topology = world.topology();
+  const auto loopbacks = world.AllLoopbacks();
+  const std::vector<std::vector<topo::AsNumber>> footprints = {
+      {1, 2}, {2, 3}, {4}, {}, {1, 2, 3, 4}};
+  ASSERT_GE(loopbacks.size(), footprints.size());
+  constexpr std::uint64_t kEpoch = 3;
+  constexpr auto kPhase = campaign::TraceCache::Phase::kDiscovery;
+  using Scope = routing::ConvergenceDelta::Scope;
+
+  const auto filled = [&] {
+    campaign::TraceCache cache;
+    cache.Begin(topology, 1, kEpoch);
+    for (std::size_t i = 0; i < footprints.size(); ++i) {
+      probe::TraceResult trace;
+      trace.source = world.vantage_points().front();
+      trace.target = loopbacks[i];
+      cache.Record(kPhase, 0, trace, footprints[i], kEpoch, 0, 1);
+      probe::PingResult ping;
+      ping.target = loopbacks[i];
+      cache.RecordPing(0, ping, footprints[i], kEpoch, 0, 1);
+    }
+    return cache;
+  };
+  // Whether entry i hits, as a trace and as a ping, at the next epoch.
+  const auto hits = [&](const campaign::TraceCache& cache, std::size_t i) {
+    const bool trace =
+        cache.Find(kPhase, 0, loopbacks[i], kEpoch + 1, 0, false).hit;
+    const bool ping =
+        cache.FindPing(0, loopbacks[i], kEpoch + 1, 0, false).hit;
+    EXPECT_EQ(trace, ping) << "entry " << i;
+    return trace;
+  };
+
+  for (topo::AsNumber touched = 1; touched <= 5; ++touched) {
+    campaign::TraceCache cache = filled();
+    cache.Invalidate({.epoch = kEpoch + 1,
+                      .scope = Scope::kIntraAs,
+                      .touched_as = touched});
+    for (std::size_t i = 0; i < footprints.size(); ++i) {
+      const bool crossed =
+          std::find(footprints[i].begin(), footprints[i].end(), touched) !=
+          footprints[i].end();
+      EXPECT_EQ(hits(cache, i), !crossed)
+          << "entry " << i << " touched AS " << touched;
+    }
+  }
+  for (const Scope scope : {Scope::kNone, Scope::kGlobal}) {
+    campaign::TraceCache cache = filled();
+    cache.Invalidate({.epoch = kEpoch + 1, .scope = scope});
+    for (std::size_t i = 0; i < footprints.size(); ++i) {
+      EXPECT_EQ(hits(cache, i), scope == Scope::kNone) << "entry " << i;
+    }
+  }
 }
 
 TEST(ConvergenceDelta, ReportsScopeEpochAndDroppedState) {
+  // Scope, epoch and touched AS: all a consumer reads.
   gen::SyntheticInternet world(SmallWorld());
   topo::Topology& topology = world.mutable_topology();
   sim::Network& net = world.network();
@@ -775,17 +855,6 @@ TEST(ConvergenceDelta, ReportsScopeEpochAndDroppedState) {
   EXPECT_EQ(delta.epoch, epoch0 + 1);
   EXPECT_EQ(delta.epoch, net.convergence_epoch());
   EXPECT_EQ(delta.touched_as, asn);
-  EXPECT_EQ(delta.stale_spf_sources, topology.as(asn).routers);
-  EXPECT_TRUE(delta.has_spf_window());
-  for (const topo::RouterId rid : topology.as(asn).routers) {
-    EXPECT_GE(rid, delta.spf_window_lo);
-    EXPECT_LE(rid, delta.spf_window_hi);
-  }
-  EXPECT_TRUE(delta.touched_aggregate.Contains(topology.as(asn).block));
-  if (world.profile(asn).mpls) {
-    EXPECT_TRUE(delta.has_label_range());
-    EXPECT_EQ(delta.label_lo, netbase::kFirstUnreservedLabel);
-  }
   topology.SetLinkUp(internal, true);
   net.OnLinkStateChange(internal);
 

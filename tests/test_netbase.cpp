@@ -160,16 +160,6 @@ TEST(NormalFit, RecognisesRoughlyNormalData) {
   EXPECT_NEAR(fit.within_one_sigma, 0.68, 0.08);
 }
 
-TEST(Summary, QuantilesOnRealData) {
-  Summary s;
-  for (int i = 100; i >= 1; --i) s.Add(i);
-  EXPECT_EQ(s.count(), 100u);
-  EXPECT_DOUBLE_EQ(s.Min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.Max(), 100.0);
-  EXPECT_NEAR(s.Median(), 50.0, 1.0);
-  EXPECT_NEAR(s.Mean(), 50.5, 1e-9);
-}
-
 TEST(IntDistribution, ModeBreaksTiesTowardsSmallerValue) {
   IntDistribution d;
   d.Add(3, 5);
@@ -193,15 +183,6 @@ TEST(FormatPdf, RendersFixedRange) {
   EXPECT_NE(out.find("0.2500"), std::string::npos);
   EXPECT_NE(out.find("0.7500"), std::string::npos);
   EXPECT_NE(out.find("0.0000"), std::string::npos);
-}
-
-TEST(Summary, StdDevOfConstantIsZero) {
-  Summary s;
-  s.Add(4.0);
-  s.Add(4.0);
-  s.Add(4.0);
-  EXPECT_DOUBLE_EQ(s.StdDev(), 0.0);
-  EXPECT_THROW((void)Summary{}.Quantile(0.5), std::logic_error);
 }
 
 TEST(Rng, DeterministicAcrossInstances) {

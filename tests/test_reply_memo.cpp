@@ -2,13 +2,13 @@
 // sim::ReplyMemo and whose probes resume on its sim::ForwardCursor must
 // observe exactly what memo-less, cursor-less Engine::Send observes —
 // every TraceResult field (RTTs bit for bit, jitter included), every probe
-// id and every EngineStats counter — on the GNS3 scenarios, the RSVP-TE
-// and SR worlds and a lossy, jittered ECMP internet; at the max_hops
-// guard; and across a link flap, where the memo must empty itself. The
-// cursor is also driven directly: TTL sweeps near 255 across a
-// no-ttl-propagate tunnel (the min rule's slack and its constant-wins
-// case), probes expiring inside a ttl-propagate LSP, and interleaved
-// flows. Both structures' counts are pinned on a fixed world.
+// id, every EngineStats counter and every probe's sim::Footprint — on the
+// GNS3 scenarios, the RSVP-TE and SR worlds and a lossy, jittered ECMP
+// internet; at the max_hops guard; and across a link flap, where the memo
+// must empty itself. The cursor is also driven directly: TTL sweeps near
+// 255 across a no-ttl-propagate tunnel (the min rule's slack and its
+// constant-wins case), probes expiring inside a ttl-propagate LSP, and
+// interleaved flows. Both structures' counts are pinned on a fixed world.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +25,7 @@
 #include "mpls/segment_routing.h"
 #include "netbase/packet.h"
 #include "probe/prober.h"
+#include "sim/footprint.h"
 #include "sim/forward_cursor.h"
 #include "sim/network.h"
 #include "sim/reply_memo.h"
@@ -38,6 +39,7 @@ using netbase::Packet;
 using netbase::PacketKind;
 using sim::Engine;
 using sim::EngineStats;
+using topo::AsNumber;
 using topo::RouterId;
 using topo::Vendor;
 
@@ -65,15 +67,25 @@ Packet EchoRequest(Ipv4Address src, Ipv4Address dst, int ttl,
   return p;
 }
 
-/// Prober::Traceroute / Ping over memo-less Engine::Send: the reference
-/// path. Same state machine, same probe-id stream (ids from 1).
+/// The ASes `footprint` holds.
+std::vector<AsNumber> Ases(const sim::Footprint& footprint) {
+  return {footprint.ases().begin(), footprint.ases().end()};
+}
+
+/// Prober::Traceroute / Ping over Engine::Send: with no memo and no
+/// cursor, the reference path. Same state machine, same probe-id stream
+/// (ids from 1). Keeps every probe's footprint.
 class ReferenceProber {
  public:
-  ReferenceProber(const Engine& engine, Ipv4Address vp)
-      : engine_(&engine), vp_(vp) {}
+  ReferenceProber(const Engine& engine, Ipv4Address vp,
+                  sim::ReplyMemo* memo = nullptr,
+                  sim::ForwardCursor* cursor = nullptr)
+      : engine_(&engine), vp_(vp), memo_(memo), cursor_(cursor) {}
 
   probe::TraceResult Traceroute(Ipv4Address target,
                                 const probe::TraceOptions& options) {
+    if (cursor_ != nullptr) cursor_->Reset();
+    call_start_ = footprints_.size();
     probe::TraceResult result;
     result.source = vp_;
     result.target = target;
@@ -83,7 +95,7 @@ class ReferenceProber {
       Engine::Outcome outcome;
       for (int attempt = 0; attempt < std::max(1, options.attempts);
            ++attempt) {
-        outcome = engine_->Send(Probe(target, ttl, options.flow_id));
+        outcome = Send(Probe(target, ttl, options.flow_id));
         if (outcome.received) break;
       }
       probe::Hop hop;
@@ -114,7 +126,8 @@ class ReferenceProber {
   }
 
   probe::PingResult Ping(Ipv4Address target) {
-    const Engine::Outcome outcome = engine_->Send(Probe(target, 64, 0));
+    call_start_ = footprints_.size();
+    const Engine::Outcome outcome = Send(Probe(target, 64, 0));
     probe::PingResult result;
     result.target = target;
     if (outcome.received && outcome.reply.kind == PacketKind::kEchoReply) {
@@ -127,15 +140,61 @@ class ReferenceProber {
 
   [[nodiscard]] std::uint32_t probes_sent() const { return next_id_ - 1; }
 
+  /// Every probe's footprint, in send order.
+  [[nodiscard]] const std::vector<std::vector<AsNumber>>& footprints() const {
+    return footprints_;
+  }
+
+  /// The union of the footprints of the last Traceroute's or Ping's
+  /// probes: what Prober::footprint() holds after the same call.
+  [[nodiscard]] std::vector<AsNumber> CallFootprint() const {
+    sim::Footprint all;
+    for (std::size_t i = call_start_; i < footprints_.size(); ++i) {
+      for (const AsNumber asn : footprints_[i]) all.Add(asn);
+    }
+    return Ases(all);
+  }
+
  private:
   Packet Probe(Ipv4Address target, int ttl, std::uint16_t flow) {
     return EchoRequest(vp_, target, ttl, flow, next_id_++);
   }
 
+  Engine::Outcome Send(Packet probe) {
+    sim::Footprint footprint;
+    Engine::Outcome outcome =
+        engine_->Send(std::move(probe), memo_, cursor_, &footprint);
+    footprints_.push_back(Ases(footprint));
+    return outcome;
+  }
+
   const Engine* engine_;
   Ipv4Address vp_;
+  sim::ReplyMemo* memo_;
+  sim::ForwardCursor* cursor_;
   std::uint32_t next_id_ = 1;
+  std::vector<std::vector<AsNumber>> footprints_;
+  std::size_t call_start_ = 0;
 };
+
+std::vector<AsNumber> CallFootprint(const ReferenceProber& prober) {
+  return prober.CallFootprint();
+}
+
+std::vector<AsNumber> CallFootprint(const probe::Prober& prober) {
+  return Ases(prober.footprint());
+}
+
+/// Probe-by-probe footprint parity: the first probe whose footprints
+/// differ is reported.
+void ExpectSameFootprints(const std::vector<std::vector<AsNumber>>& want,
+                          const std::vector<std::vector<AsNumber>>& got,
+                          const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << where << " probe or call " << i;
+  }
+}
 
 void ExpectSameTrace(const probe::TraceResult& want,
                      const probe::TraceResult& got, const std::string& where) {
@@ -161,6 +220,8 @@ void ExpectSameTrace(const probe::TraceResult& want,
 struct Observed {
   std::vector<probe::TraceResult> traces;
   std::vector<probe::PingResult> pings;
+  /// Per trace, then per ping: the ASes its probes' walks crossed.
+  std::vector<std::vector<AsNumber>> footprints;
   EngineStats stats;
   std::uint64_t probes = 0;
 };
@@ -178,10 +239,12 @@ Observed RunScript(const Engine& engine, P& prober,
     options.flow_id = flow;
     for (const Ipv4Address target : targets) {
       seen.traces.push_back(prober.Traceroute(target, options));
+      seen.footprints.push_back(CallFootprint(prober));
     }
   }
   for (const Ipv4Address target : targets) {
     seen.pings.push_back(prober.Ping(target));
+    seen.footprints.push_back(CallFootprint(prober));
   }
   seen.stats = Minus(engine.stats(), before);
   seen.probes = prober.probes_sent();
@@ -203,18 +266,30 @@ void ExpectSameObservations(const Observed& want, const Observed& got,
     EXPECT_EQ(Bits(got.pings[i].rtt_ms), Bits(want.pings[i].rtt_ms))
         << where;
   }
+  ExpectSameFootprints(want.footprints, got.footprints, where);
   EXPECT_EQ(got.stats, want.stats) << where;
   EXPECT_EQ(got.probes, want.probes) << where;
 }
 
-/// The prober, with its memo and cursor, against the reference. Returns
-/// the prober's memo counts.
+/// The prober, with its memo and cursor, against the reference; and the
+/// reference's state machine over a memo and a cursor against the
+/// reference, probe by probe. Returns the prober's memo counts.
 sim::ReplyMemo::Counts ExpectMemoParity(
     const Engine& engine, Ipv4Address vp,
     const std::vector<Ipv4Address>& targets,
     const probe::TraceOptions& options = {}) {
   ReferenceProber reference(engine, vp);
   const Observed want = RunScript(engine, reference, targets, options);
+
+  sim::ReplyMemo memo;
+  sim::ForwardCursor cursor;
+  ReferenceProber fast(engine, vp, &memo, &cursor);
+  ExpectSameObservations(want, RunScript(engine, fast, targets, options),
+                         "memo and cursor");
+  ExpectSameFootprints(reference.footprints(), fast.footprints(),
+                       "memo and cursor");
+  EXPECT_GT(memo.counts().hits, 0u);
+  EXPECT_GT(cursor.counts().resumes, 0u);
 
   probe::Prober prober(engine, vp);
   const Observed seen = RunScript(engine, prober, targets, options);
@@ -384,6 +459,24 @@ TEST(ReplyMemo, LossyJitteredEcmpInternetMatchesTheReferencePath) {
   }
 }
 
+TEST(ReplyMemo, HierarchicalInternetMatchesTheReferencePath) {
+  // A stub sends everything to its lowest-ASN provider, while the core
+  // reaches a multi-homed stub through the provider whose aggregate
+  // covers it. So some replies cross an AS their probe did not, and a
+  // replay that left its ASes out of the footprint would show here.
+  gen::InternetOptions options = SmallInternet(41);
+  options.hierarchical = true;
+  gen::SyntheticInternet world(options);
+  std::vector<Ipv4Address> targets;
+  const auto loopbacks = world.AllLoopbacks();
+  for (std::size_t i = 0; i < loopbacks.size(); i += 3) {
+    targets.push_back(loopbacks[i]);
+  }
+  for (const Ipv4Address vp : world.vantage_points()) {
+    ExpectMemoParity(world.engine(), vp, targets, {.first_ttl = 2});
+  }
+}
+
 /// r0 - r1 - ... - r(n-1), hosts on both ends, a tight hop budget.
 struct Chain {
   topo::Topology topology;
@@ -429,12 +522,17 @@ TEST(ReplyMemo, ReplyAtTheMaxHopsGuardIsWalkedNotReplayed) {
     p.hops_traversed = start_hops;
     ++p.probe_id;
     const EngineStats before = engine.stats();
-    const Engine::Outcome want = engine.Send(p);
+    sim::Footprint walked;
+    const Engine::Outcome want = engine.Send(p, nullptr, nullptr, &walked);
     EngineStats twice = Minus(engine.stats(), before);
     twice += twice;
-    const Engine::Outcome got = engine.Send(p, &memo);
+    sim::Footprint replayed;
+    const Engine::Outcome got = engine.Send(p, &memo, nullptr, &replayed);
     EXPECT_EQ(Minus(engine.stats(), before), twice) << "start " << start_hops;
     EXPECT_EQ(got, want) << "start " << start_hops;
+    // The whole walk is the reply's: a replay must add its one AS too.
+    EXPECT_EQ(Ases(replayed), Ases(walked)) << "start " << start_hops;
+    EXPECT_EQ(Ases(walked), std::vector<AsNumber>{1}) << "start " << start_hops;
     return got;
   };
 
@@ -553,17 +651,21 @@ TEST(ReplyMemo, CountsArePinnedOnTheDefaultTestbed) {
 }
 
 /// Sends `probe` through cursor-less Send, then through Send with
-/// `cursor`: outcome, RTT bits and stats must agree. Returns the outcome.
+/// `cursor`: outcome, RTT bits, stats and footprint must agree. Returns
+/// the outcome.
 Engine::Outcome ExpectCursorParity(const Engine& engine, const Packet& probe,
                                    sim::ForwardCursor& cursor,
                                    const std::string& where) {
   const EngineStats before = engine.stats();
-  const Engine::Outcome want = engine.Send(probe);
+  sim::Footprint walked;
+  const Engine::Outcome want = engine.Send(probe, nullptr, nullptr, &walked);
   const EngineStats mid = engine.stats();
-  const Engine::Outcome got = engine.Send(probe, nullptr, &cursor);
+  sim::Footprint resumed;
+  const Engine::Outcome got = engine.Send(probe, nullptr, &cursor, &resumed);
   EXPECT_EQ(got, want) << where;
   EXPECT_EQ(Bits(got.rtt_ms), Bits(want.rtt_ms)) << where;
   EXPECT_EQ(Minus(engine.stats(), mid), Minus(mid, before)) << where;
+  EXPECT_EQ(Ases(resumed), Ases(walked)) << where;
   return want;
 }
 

@@ -16,7 +16,6 @@
 #include "campaign/compact_trace.h"
 #include "campaign/trace_cache.h"
 #include "gen/internet.h"
-#include "routing/as_path.h"
 #include "sim/network.h"
 
 namespace wormhole {
@@ -162,10 +161,7 @@ TEST(DeltaCampaign, LossyWorldParityAtEveryJobsAndShardCombination) {
       world.mutable_topology().SetLinkUp(link, false);
       const routing::ConvergenceDelta delta =
           world.network().OnLinkStateChange(link);
-      const routing::AsPathOracle oracle(world.topology(),
-                                         world.network().bgp_level(),
-                                         world.network().bgp_policy());
-      cache.Invalidate(delta, oracle);
+      cache.Invalidate(delta);
 
       const campaign::CampaignResult result =
           campaign.RunDelta(targets, cache);

@@ -13,20 +13,26 @@
 //   * Fib's moved-from invalidation: element-wise moves gut the source
 //     map's nodes in place, so a moved-from FIB must drop its sealed
 //     index — the annotation layer has nothing to say about moves.
+//   * MplsConfigMap::For, a const method that materialises a missing
+//     vendor default, called by LDP domains built in parallel.
 //
 // Run under the TSan CI job as well: the stress tests double as data-race
 // probes.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <string>
 #include <thread>  // lint:allow-file(raw-threading): exercises exec primitives
 #include <utility>
 #include <vector>
 
 #include "exec/sync.h"
+#include "mpls/config.h"
 #include "netbase/ipv4.h"
 #include "netbase/thread_annotations.h"
 #include "routing/fib.h"
+#include "sim/network.h"
+#include "topo/topology.h"
 
 namespace wormhole {
 namespace {
@@ -210,6 +216,44 @@ TEST(ThreadSafety, MovedFromFibDropsItsSealedIndex) {
   const routing::FibEntry* after = assigned.Lookup(probe);
   ASSERT_NE(after, nullptr);
   EXPECT_EQ(after->next_hops.size(), 1u);
+}
+
+TEST(ThreadSafety, ParallelLdpBuildMaterialisesConfigDefaults) {
+  // Two MPLS-enabled ASes, each with a router added after EnableAs and so
+  // without a config entry. The LDP domains are built in parallel, and
+  // each asks MplsConfigMap::For about every router of its AS, which
+  // inserts the missing vendor default: two tasks insert into one map at
+  // once. Under TSan an unguarded map is a report here.
+  topo::Topology topology;
+  std::vector<topo::RouterId> late;
+  topo::RouterId previous = topo::kNoRouter;
+  for (const topo::AsNumber asn : {1u, 2u}) {
+    topology.AddAs(asn, "as" + std::to_string(asn));
+    for (int i = 0; i < 3; ++i) {
+      const topo::RouterId r =
+          topology.AddRouter(asn, "r" + std::to_string(asn) + std::to_string(i),
+                             topo::Vendor::kCiscoIos);
+      if (previous != topo::kNoRouter) topology.AddLink(previous, r);
+      previous = r;
+    }
+  }
+  mpls::MplsConfigMap configs(topology);
+  configs.EnableAs(1, {});
+  configs.EnableAs(2, {});
+  for (const topo::AsNumber asn : {1u, 2u}) {
+    const topo::RouterId r = topology.AddRouter(
+        asn, "late" + std::to_string(asn), topo::Vendor::kJuniperJunos);
+    topology.AddLink(topology.as(asn).routers.front(), r);
+    late.push_back(r);
+  }
+  const sim::Network network(topology, configs, routing::BgpPolicy{},
+                             sim::EngineOptions{}, nullptr, nullptr,
+                             /*convergence_jobs=*/4);
+  for (const topo::RouterId r : late) {
+    EXPECT_FALSE(configs.For(r).enabled);
+    EXPECT_EQ(configs.For(r).ldp_policy, mpls::LdpPolicy::kLoopbacksOnly);
+  }
+  EXPECT_EQ(network.convergence_epoch(), 1u);
 }
 
 }  // namespace

@@ -680,12 +680,7 @@ class Model:
                 return cls + "::" + base
             return None
         # Bare call: same class, then same namespace, then unique global.
-        # An out-of-line member parsed before its class (a .cpp sorts
-        # before its header) has no class_qname; its qname names it.
         cls = func.class_qname
-        scope = func.qname.rpartition("::")[0]
-        if cls is None and scope in self.classes:
-            cls = scope
         if cls and cls + "::" + base in self.functions:
             return cls + "::" + base
         candidates = self.func_by_name.get(base, [])
@@ -697,6 +692,22 @@ class Model:
         if len(candidates) == 1:
             return candidates[0]
         return None
+
+    def attach_out_of_line_members(self):
+        """Gives every out-of-line member the class it belongs to.
+
+        Files are parsed in sorted order, so a `.cpp` is read before its
+        header and its `Class::Method` definitions before their class:
+        they get no class_qname when parsed, and their qname (namespace +
+        qualified name) names the class instead. Without the class, the
+        const-mutation rule skips them and calls through their fields do
+        not resolve.
+        """
+        for defs in self.functions.values():
+            for func in defs:
+                scope = func.qname.rpartition("::")[0]
+                if func.class_qname is None and scope in self.classes:
+                    func.class_qname = scope
 
     def build_call_graph(self):
         for defs in self.functions.values():
@@ -1017,6 +1028,7 @@ def build_model(files: list[tuple[str, Path]]) -> Model:
         except OSError:
             continue
         model.add_file(rel, text)
+    model.attach_out_of_line_members()
     model.build_call_graph()
     return model
 

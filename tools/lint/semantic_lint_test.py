@@ -88,11 +88,26 @@ class BadTreeTest(unittest.TestCase):
         self.assertIn("Report", found[0].message)
 
     def test_const_mutation(self):
-        found = self.by_rule("sem-const-mutation")
+        found = [
+            f for f in self.by_rule("sem-const-mutation")
+            if f.path == "src/const_mutation.cpp"
+        ]
         self.assertEqual(len(found), 1)
-        self.assertEqual(found[0].path, "src/const_mutation.cpp")
         self.assertIn("'hits_'", found[0].message)
         self.assertIn("Cache::Get", found[0].message)
+
+    def test_const_mutation_out_of_line(self):
+        # ledger.cpp sorts before ledger.h: Ledger::Total is parsed before
+        # its class, and must still be checked against it.
+        found = self.by_rule("sem-const-mutation")
+        self.assertEqual(
+            {f.path for f in found},
+            {"src/const_mutation.cpp", "src/ledger.cpp"},
+        )
+        ledger = [f for f in found if f.path == "src/ledger.cpp"]
+        self.assertEqual(len(ledger), 1)
+        self.assertIn("'reads_'", ledger[0].message)
+        self.assertIn("Ledger::Total", ledger[0].message)
 
     def test_nondet_reach(self):
         found = self.by_rule("sem-nondet-reach")
@@ -216,6 +231,10 @@ class ModelTest(unittest.TestCase):
             "fix::Engine::Step",
             self.model.calls.get("fix::Engine::Send", set()),
         )
+
+    def test_member_parsed_before_its_class_attaches_to_it(self):
+        defs = self.model.functions["fix::Ledger::Total"]
+        self.assertEqual([d.class_qname for d in defs], ["fix::Ledger"])
 
 
 class RealTreeTest(unittest.TestCase):
