@@ -149,7 +149,8 @@ std::vector<probe::TraceResult> Campaign::RunDiscovery(
 }
 
 Campaign::RunContext Campaign::StartRun(TraceCache* cache) {
-  for (probe::Prober& prober : probers_) prober.Restart();
+  // Only a trace cache reads the probes' footprints.
+  for (probe::Prober& prober : probers_) prober.Restart(cache != nullptr);
   RunContext ctx;
   ctx.cache = cache;
   ctx.epoch = engine_->convergence_epoch();

@@ -174,8 +174,9 @@ class Campaign {
     std::vector<std::uint64_t> hits;
   };
 
-  /// Restarts every prober (Prober::Restart), binds `cache` when there
-  /// is one and returns the run's context.
+  /// Restarts every prober (Prober::Restart), recording footprints only
+  /// when there is a `cache` to read them, binds `cache` when there is
+  /// one and returns the run's context.
   RunContext StartRun(TraceCache* cache);
 
   /// The one probing loop: per VP and target in order, splice a current

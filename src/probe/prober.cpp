@@ -32,6 +32,8 @@ void Prober::Traceroute(netbase::Ipv4Address target,
   result.unreachable = false;
   forward_cursor_.Reset();
   footprint_.Clear();
+  sim::Footprint* const footprint =
+      record_footprint_ ? &footprint_ : nullptr;
 
   int consecutive_timeouts = 0;
   for (int ttl = options.first_ttl; ttl <= options.max_ttl; ++ttl) {
@@ -47,7 +49,7 @@ void Prober::Traceroute(netbase::Ipv4Address target,
       probe.probe_id = next_probe_id_++;
       ++probes_sent_;
       outcome = engine_->Send(std::move(probe), &reply_memo_,
-                              &forward_cursor_, &footprint_);
+                              &forward_cursor_, footprint);
       if (outcome.received) break;
     }
 
@@ -91,7 +93,8 @@ PingResult Prober::Ping(netbase::Ipv4Address target, std::uint16_t flow_id) {
 
   footprint_.Clear();
   const sim::Engine::Outcome outcome =
-      engine_->Send(std::move(probe), &reply_memo_, nullptr, &footprint_);
+      engine_->Send(std::move(probe), &reply_memo_, nullptr,
+                    record_footprint_ ? &footprint_ : nullptr);
   PingResult result;
   result.target = target;
   if (outcome.received &&

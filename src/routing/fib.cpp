@@ -41,7 +41,11 @@ exec::Mutex& SealMutexFor(const void* fib) {
 
 }  // namespace
 
-void Fib::AddRoute(FibEntry entry) {
+void Fib::AddRoute(FibEntry entry) { Add(std::move(entry), false); }
+
+void Fib::AddRouteIfAbsent(FibEntry entry) { Add(std::move(entry), true); }
+
+void Fib::Add(FibEntry entry, bool if_absent) {
   WORMHOLE_ASSERT(
       entry.prefix.length() >= 0 && entry.prefix.length() <= 32,
       "FIB prefix length outside [0, 32]");
@@ -50,63 +54,97 @@ void Fib::AddRoute(FibEntry entry) {
       std::unique(entry.next_hops.begin(), entry.next_hops.end());
   entry.next_hops.truncate(
       static_cast<std::size_t>(unique_end - entry.next_hops.begin()));
-  const auto key = std::make_pair(entry.prefix.address().value(),
-                                  entry.prefix.length());
-  last_ = routes_.insert_or_assign(HintFor(), key, std::move(entry));
+  pending_.push_back(PendingRoute{std::move(entry), if_absent});
   Invalidate();
 }
 
-bool Fib::AddRouteIfAbsent(FibEntry entry) {
-  WORMHOLE_ASSERT(
-      entry.prefix.length() >= 0 && entry.prefix.length() <= 32,
-      "FIB prefix length outside [0, 32]");
-  std::sort(entry.next_hops.begin(), entry.next_hops.end());
-  NextHop* const unique_end =
-      std::unique(entry.next_hops.begin(), entry.next_hops.end());
-  entry.next_hops.truncate(
-      static_cast<std::size_t>(unique_end - entry.next_hops.begin()));
-  const auto key = std::make_pair(entry.prefix.address().value(),
-                                  entry.prefix.length());
-  const std::size_t before = routes_.size();
-  last_ = routes_.try_emplace(HintFor(), key, std::move(entry));
-  const bool inserted = routes_.size() != before;
-  if (inserted) Invalidate();
-  return inserted;
+void Fib::Clear() {
+  entries_.clear();
+  pending_ = std::vector<PendingRoute>();
+  Invalidate();
 }
 
 void Fib::Seal() const {
   exec::MutexLock lock(SealMutexFor(this));
   if (sealed_.load(std::memory_order_relaxed)) return;
 
+  if (!pending_.empty()) {
+    // Merge the pending adds into entries_. The sealed entries count as
+    // adds made before every pending one. When there are none (a new or
+    // cleared FIB), the winners go straight into entries_ and reuse its
+    // storage.
+    std::vector<FibEntry> earlier;
+    if (!entries_.empty()) earlier.swap(entries_);
+    const std::size_t first_pending = earlier.size();
+    const auto route_at = [&](std::uint32_t seq) -> FibEntry& {
+      return seq < first_pending ? earlier[seq]
+                                 : pending_[seq - first_pending].entry;
+    };
+
+    // Sort (key, add sequence) pairs rather than the routes themselves:
+    // 16 bytes a move instead of 88. Adds made in order skip the sort.
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> order(
+        first_pending + pending_.size());
+    WORMHOLE_ASSERT(order.size() <= kIndexMask,
+                    "FIB too large for the sealed index's entry positions");
+    for (std::uint32_t seq = 0; seq < order.size(); ++seq) {
+      const Prefix& prefix = route_at(seq).prefix;
+      order[seq] = {KeyOf(prefix.address().value(), prefix.length()), seq};
+    }
+    if (!std::is_sorted(order.begin(), order.end())) {
+      std::sort(order.begin(), order.end());
+    }
+
+    std::size_t distinct = 0;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      if (i == 0 || order[i].first != order[i - 1].first) ++distinct;
+    }
+    entries_.reserve(distinct);
+    // Per prefix, in add order: the last AddRoute wins, else the first
+    // AddRouteIfAbsent.
+    for (std::size_t i = 0; i < order.size();) {
+      std::uint32_t winner = order[i].second;
+      std::size_t j = i + 1;
+      for (; j < order.size() && order[j].first == order[i].first; ++j) {
+        const std::uint32_t seq = order[j].second;
+        if (seq < first_pending || !pending_[seq - first_pending].if_absent) {
+          winner = seq;
+        }
+      }
+      entries_.push_back(std::move(route_at(winner)));
+      i = j;
+    }
+    pending_ = std::vector<PendingRoute>();  // frees it: `= {}` would not
+  }
+
   // Load factor <= 0.5: next power of two >= 2 * size (minimum 8 so the
   // empty-slot terminator always exists).
   const std::uint64_t capacity =
-      std::bit_ceil(std::max<std::uint64_t>(8, 2 * routes_.size()));
-  WORMHOLE_ASSERT(capacity > routes_.size(),
+      std::bit_ceil(std::max<std::uint64_t>(8, 2 * entries_.size()));
+  WORMHOLE_ASSERT(capacity > entries_.size(),
                   "sealed index must keep at least one empty slot");
   slots_.assign(capacity, Slot{});
   slot_mask_ = capacity - 1;
 
   // Per length: whether it is populated and the range of its masked
-  // addresses. The map iterates in ascending address order, so the first
+  // addresses. entries_ is in ascending address order, so the first
   // address seen at a length is its least and the last its greatest.
   std::array<LengthRange, 33> ranges{};
   std::uint64_t populated = 0;
-  for (const auto& [key, entry] : routes_) {
-    const auto [address, length] = key;
+  for (std::uint32_t index = 0; index < entries_.size(); ++index) {
+    const std::uint32_t address = entries_[index].prefix.address().value();
+    const int length = entries_[index].prefix.length();
     LengthRange& range = ranges[static_cast<std::size_t>(length)];
     if ((populated & (std::uint64_t{1} << length)) == 0) {
       populated |= std::uint64_t{1} << length;
       range = LengthRange{address, address, length};
     }
     WORMHOLE_DCHECK(range.lo <= address && range.hi <= address,
-                    "the route map iterates in ascending address order");
+                    "entries_ is in ascending address order");
     range.hi = address;
-    const std::uint64_t packed = KeyOf(address, length);
-    WORMHOLE_DCHECK(packed != 0, "KeyOf must never produce the empty key");
-    std::uint64_t i = HashKey(packed) & slot_mask_;
-    while (slots_[i].key != 0) i = (i + 1) & slot_mask_;
-    slots_[i] = Slot{packed, &entry};
+    std::uint64_t i = HashKey(KeyOf(address, length)) & slot_mask_;
+    while (slots_[i].tag != 0) i = (i + 1) & slot_mask_;
+    slots_[i] = Slot{address, TagOf(length) | index};
   }
   lengths_.clear();
   lengths_.reserve(static_cast<std::size_t>(std::popcount(populated)));
@@ -125,12 +163,14 @@ const FibEntry* Fib::FindSealed(std::uint32_t address, int length) const {
   WORMHOLE_DCHECK(sealed_.load(std::memory_order_acquire),
                   "FindSealed before Seal() published the index");
   WORMHOLE_DCHECK(slot_mask_ != 0, "sealed index has no slots");
-  const std::uint64_t packed = KeyOf(address, length);
-  for (std::uint64_t i = HashKey(packed) & slot_mask_;;
+  const std::uint32_t tag = TagOf(length);
+  for (std::uint64_t i = HashKey(KeyOf(address, length)) & slot_mask_;;
        i = (i + 1) & slot_mask_) {
     const Slot& slot = slots_[i];
-    if (slot.key == packed) return slot.entry;
-    if (slot.key == 0) return nullptr;
+    if (slot.tag == 0) return nullptr;
+    if (slot.address == address && (slot.tag & ~kIndexMask) == tag) {
+      return &entries_[slot.tag & kIndexMask];
+    }
   }
 }
 
@@ -151,17 +191,15 @@ const FibEntry* Fib::Lookup(Ipv4Address dst) const {
 }
 
 const FibEntry* Fib::LookupExact(const Prefix& prefix) const {
-  if (sealed_.load(std::memory_order_acquire)) {
-    return FindSealed(prefix.address().value(), prefix.length());
-  }
-  const auto it = routes_.find({prefix.address().value(), prefix.length()});
-  return it == routes_.end() ? nullptr : &it->second;
+  if (!sealed_.load(std::memory_order_acquire)) Seal();
+  return FindSealed(prefix.address().value(), prefix.length());
 }
 
 std::vector<const FibEntry*> Fib::Entries() const {
+  if (!sealed_.load(std::memory_order_acquire)) Seal();
   std::vector<const FibEntry*> out;
-  out.reserve(routes_.size());
-  for (const auto& [key, entry] : routes_) out.push_back(&entry);
+  out.reserve(entries_.size());
+  for (const FibEntry& entry : entries_) out.push_back(&entry);
   return out;
 }
 

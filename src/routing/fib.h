@@ -5,25 +5,27 @@
 // next-hop set and, for BGP routes, the recursive next hop (the egress LER
 // loopback) that drives MPLS label imposition.
 //
-// Two-sided design: AddRoute fills a mutable build-side (an ordered map,
-// which also serves deterministic enumeration), and Seal() compiles an
-// immutable flat query-side — the populated prefix lengths, each with the
-// range of masked addresses stored at it, plus an open-addressing hash
-// over (masked address, length) — that Lookup probes. LPM then touches
-// only the handful of prefix lengths that actually exist in the table
-// instead of walking all 33, skips a length outright when the destination
-// falls outside that length's range, and each probe is a single hash slot
-// chase instead of a red-black-tree descent. Sealing happens lazily on
-// the first Lookup (thread-safely) or eagerly via Seal(); AddRoute
-// invalidates the index, so build → query → rebuild cycles just work.
+// Two-sided design: AddRoute and AddRouteIfAbsent append to a pending
+// list, and Seal() compiles it into the flat query side — one exact-size
+// array of the entries sorted by (address, length), which is also what
+// Entries() enumerates; the populated prefix lengths, each with the range
+// of masked addresses stored at it; and an open-addressing hash of entry
+// positions keyed on (masked address, length) that Lookup probes. LPM
+// then touches only the handful of prefix lengths that actually exist in
+// the table instead of walking all 33, skips a length outright when the
+// destination falls outside that length's range, and each probe is a
+// single hash slot chase. A prefix added more than once resolves as an
+// ordered map's insert_or_assign and try_emplace would: the last AddRoute
+// wins, else the first AddRouteIfAbsent. Sealing happens lazily on the
+// first query (thread-safely) or eagerly via Seal(); an add after a seal
+// is merged in by the next one, so build → query → rebuild cycles just
+// work. Clear() keeps the entry array's storage, so a router whose routes
+// are rebuilt keeps its table where it was.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
-#include <map>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -73,160 +75,79 @@ struct FibEntry {
   Ipv4Address bgp_next_hop;
 };
 
-/// A recycling fixed-size-node pool: allocation pops a free list backed by
-/// chunked slabs, deallocation pushes back onto it. Route-map nodes are
-/// all one size, so the ~10^2 node allocations of a router's FIB build
-/// collapse into a handful of slab mallocs — and destruction into a
-/// handful of frees.
-class FibNodePool {
- public:
-  FibNodePool() = default;
-  FibNodePool(const FibNodePool&) = delete;
-  FibNodePool& operator=(const FibNodePool&) = delete;
-
-  void* Allocate(std::size_t bytes) {
-    if (free_list_ != nullptr) {
-      void* node = free_list_;
-      free_list_ = *static_cast<void**>(node);
-      return node;
-    }
-    if (node_size_ == 0) node_size_ = SlotSize(bytes);
-    WORMHOLE_ASSERT(SlotSize(bytes) == node_size_,
-                    "FibNodePool serves exactly one node size");
-    if (next_in_chunk_ == per_chunk_) {
-      chunks_.push_back(std::make_unique<std::byte[]>(
-          node_size_ * kChunkNodes));
-      next_in_chunk_ = 0;
-      per_chunk_ = kChunkNodes;
-    }
-    return chunks_.back().get() + node_size_ * next_in_chunk_++;
-  }
-
-  void Deallocate(void* node) {
-    *static_cast<void**>(node) = free_list_;
-    free_list_ = node;
-  }
-
- private:
-  static constexpr std::size_t kChunkNodes = 64;
-  static constexpr std::size_t SlotSize(std::size_t bytes) {
-    // Room for the free-list link, and 16-byte slots so any node type is
-    // aligned within the (operator-new-aligned) slab.
-    const std::size_t n = bytes < sizeof(void*) ? sizeof(void*) : bytes;
-    return (n + 15) / 16 * 16;
-  }
-
-  std::size_t node_size_ = 0;
-  std::size_t per_chunk_ = 0;
-  std::size_t next_in_chunk_ = 0;
-  std::vector<std::unique_ptr<std::byte[]>> chunks_;
-  void* free_list_ = nullptr;
-};
-
-/// The std-allocator face of FibNodePool. Single-size nodes go through
-/// the pool; anything else (never requested by the route map in practice)
-/// falls back to operator new.
-template <typename T>
-class FibPoolAllocator {
- public:
-  using value_type = T;
-
-  explicit FibPoolAllocator(FibNodePool* pool) : pool_(pool) {}
-  template <typename U>
-  explicit(false) FibPoolAllocator(const FibPoolAllocator<U>& other)
-      : pool_(other.pool()) {}
-
-  T* allocate(std::size_t n) {
-    if (n == 1) return static_cast<T*>(pool_->Allocate(sizeof(T)));
-    return static_cast<T*>(::operator new(n * sizeof(T)));
-  }
-  void deallocate(T* p, std::size_t n) {
-    if (n == 1) {
-      pool_->Deallocate(p);
-    } else {
-      ::operator delete(p);
-    }
-  }
-
-  [[nodiscard]] FibNodePool* pool() const { return pool_; }
-
-  template <typename U>
-  friend bool operator==(const FibPoolAllocator& a,
-                         const FibPoolAllocator<U>& b) {
-    return a.pool_ == b.pool();
-  }
-
- private:
-  FibNodePool* pool_;
-};
-
 class Fib {
  public:
-  Fib() : routes_(RouteAlloc(&pool_)) {}
-  // The sealed index holds pointers into this object's own route map, so
-  // copies and moves transfer only the build-side and re-seal lazily.
-  // Nodes always come from this object's own pool, so moves with a
-  // populated source are element-wise (the unequal-allocator path) — the
-  // *source* map's nodes survive with moved-from values, so a moved-from
-  // source must drop its sealed index too: it would otherwise keep
-  // serving entries whose contents the move just gutted.
-  Fib(const Fib& other) : routes_(other.routes_, RouteAlloc(&pool_)) {}
-  Fib(Fib&& other) : routes_(std::move(other.routes_), RouteAlloc(&pool_)) {
-    other.last_ = other.routes_.end();
-    other.Invalidate();
+  Fib() = default;
+  // Copies and moves carry the routes and re-seal lazily: the publication
+  // flag is not copyable, and a moved-from FIB is left empty. A copy seals
+  // its source first, so it never reads routes that a concurrent first
+  // query of the source is merging.
+  Fib(const Fib& other) {
+    other.Seal();
+    entries_ = other.entries_;
   }
-  Fib& operator=(const Fib& other) {
-    if (this != &other) {
-      routes_ = other.routes_;
-      last_ = routes_.end();
-      Invalidate();
-    }
-    return *this;
+  Fib(Fib&& other) noexcept
+      : entries_(std::move(other.entries_)),
+        pending_(std::move(other.pending_)) {
+    other.Clear();
   }
-  Fib& operator=(Fib&& other) {
-    if (this != &other) {
-      routes_ = std::move(other.routes_);
-      last_ = routes_.end();
-      other.last_ = other.routes_.end();
-      Invalidate();
-      other.Invalidate();
-    }
+  Fib& operator=(Fib other) noexcept {
+    entries_.swap(other.entries_);
+    pending_.swap(other.pending_);
+    Invalidate();
     return *this;
   }
 
   /// Inserts or replaces the route for `entry.prefix`. Build-side only:
-  /// not safe to call concurrently with Lookup.
+  /// not safe to call concurrently with a query. Every FibEntry pointer
+  /// the FIB handed out is invalid from here on.
   void AddRoute(FibEntry entry);
 
-  /// Inserts only when no route for `entry.prefix` exists yet; returns
-  /// whether it inserted. One tree descent — the connected-wins pattern
-  /// of the install loops, without a LookupExact probe first.
-  bool AddRouteIfAbsent(FibEntry entry);
+  /// Inserts only when no route for `entry.prefix` exists, counting the
+  /// adds before it — the connected-wins rule of the install loops,
+  /// without a LookupExact probe first. Invalidates as AddRoute does.
+  void AddRouteIfAbsent(FibEntry entry);
 
-  /// Compiles the flat query index (idempotent, thread-safe). The first
-  /// Lookup seals automatically; calling this eagerly after route
-  /// installation (sim::Network does) keeps the first packet fast.
+  /// Drops every route but keeps the entry array's and the index's
+  /// storage for the rebuild. Invalidates as AddRoute does.
+  void Clear();
+
+  /// Compiles the pending adds and the flat query index (idempotent,
+  /// thread-safe). The first query seals automatically; calling this
+  /// eagerly after route installation (sim::Network does) keeps the first
+  /// packet fast.
   void Seal() const;
 
   /// Longest-prefix-match; nullptr when no route covers `dst`.
   [[nodiscard]] const FibEntry* Lookup(Ipv4Address dst) const;
 
   /// Exact-match on a prefix (FEC lookup for LDP); nullptr if absent.
-  /// Uses the sealed index when available, the build map otherwise (so
-  /// interleaved AddRoute/LookupExact during route installation never
-  /// pays for resealing).
   [[nodiscard]] const FibEntry* LookupExact(const Prefix& prefix) const;
 
-  [[nodiscard]] std::size_t size() const { return routes_.size(); }
+  [[nodiscard]] std::size_t size() const {
+    if (!sealed_.load(std::memory_order_acquire)) Seal();
+    return entries_.size();
+  }
 
   /// All entries, in (address, length-ascending) order.
   [[nodiscard]] std::vector<const FibEntry*> Entries() const;
 
  private:
-  struct Slot {
-    std::uint64_t key = 0;  ///< 0 = empty (KeyOf never returns 0)
-    const FibEntry* entry = nullptr;
+  /// An added route and how it was added, until the next Seal.
+  struct PendingRoute {
+    FibEntry entry;
+    bool if_absent = false;
   };
+
+  /// One hash slot: a stored masked address, then its prefix length + 1
+  /// in the top byte and its position in entries_ in the low 24 bits. A
+  /// tag of 0 marks an empty slot (no length + 1 is 0).
+  struct Slot {
+    std::uint32_t address = 0;
+    std::uint32_t tag = 0;
+  };
+  static constexpr int kIndexBits = 24;
+  static constexpr std::uint32_t kIndexMask = (1u << kIndexBits) - 1;
 
   /// A populated prefix length and the least and greatest masked address
   /// stored at it. A destination whose masked address falls outside
@@ -237,49 +158,36 @@ class Fib {
     int length = 0;
   };
 
-  /// Packs (masked address, length) so that no valid route collides with
-  /// the empty-slot sentinel: length 0..32 maps to low bits 1..33.
+  /// Packs (masked address, length) into one key that orders as the pairs
+  /// do: the seal's sort key and the hash's input.
   static constexpr std::uint64_t KeyOf(std::uint32_t address, int length) {
     return (std::uint64_t{address} << 8) |
            static_cast<std::uint64_t>(length + 1);
   }
 
+  static constexpr std::uint32_t TagOf(int length) {
+    return static_cast<std::uint32_t>(length + 1) << kIndexBits;
+  }
+
+  void Add(FibEntry entry, bool if_absent);
   [[nodiscard]] const FibEntry* FindSealed(std::uint32_t address,
                                            int length) const;
   void Invalidate() { sealed_.store(false, std::memory_order_release); }
 
-  /// Upper-bound insertion hint for ascending-order adds: the position
-  /// just after the last touched element.
-  [[nodiscard]] auto HintFor() {
-    return last_ == routes_.end() ? last_ : std::next(last_);
-  }
-
-  using RouteKey = std::pair<std::uint32_t, int>;
-  using RouteAlloc =
-      FibPoolAllocator<std::pair<const RouteKey, FibEntry>>;
-
-  using RouteMap =
-      std::map<RouteKey, FibEntry, std::less<RouteKey>, RouteAlloc>;
-
-  // Build side. Ordered so Entries() is deterministic; node-based so
-  // sealed-slot and caller-held FibEntry pointers stay valid across
-  // further AddRoute calls. Nodes live in pool_, declared first so it
-  // outlives the map's destructor.
-  FibNodePool pool_;
-  RouteMap routes_;
-  /// Last element touched by AddRoute/AddRouteIfAbsent. The install
-  /// loops add routes in ascending prefix order, so std::next(last_) is
-  /// the correct hint and those inserts are amortized O(1); out-of-order
-  /// adds just make the hint stale, which costs the ordinary descent.
-  RouteMap::iterator last_ = routes_.end();
+  // The routes: entries_ as of the last Seal, and what was added since.
+  // Only Seal (under its lock) moves pending routes into entries_ and
+  // frees pending_, which would otherwise double the memory.
+  mutable std::vector<FibEntry> entries_;
+  mutable std::vector<PendingRoute> pending_;
 
   // Query side, built by Seal(). `sealed_` is the publication point:
-  // readers acquire-load it before touching the index. Concurrency
-  // contract: these fields are written only inside Seal() while holding
-  // the per-Fib stripe of the seal StripedMutex (fib.cpp) and read
-  // lock-free strictly after the `sealed_` release-store — the stripe is
-  // dynamic, so the guard is not GUARDED_BY-nameable; the discipline is
-  // pinned by tests/test_thread_safety.cpp instead.
+  // readers acquire-load it before touching entries_ or the index.
+  // Concurrency contract: these fields and the two above are written by
+  // queries only inside Seal() while holding the per-Fib stripe of the
+  // seal StripedMutex (fib.cpp) and read lock-free strictly after the
+  // `sealed_` release-store — the stripe is dynamic, so the guard is not
+  // GUARDED_BY-nameable; the discipline is pinned by
+  // tests/test_thread_safety.cpp instead.
   mutable std::atomic<bool> sealed_{false};
   mutable std::vector<Slot> slots_;
   mutable std::uint64_t slot_mask_ = 0;

@@ -110,9 +110,10 @@ void Network::ReconvergeAs(topo::AsNumber asn,
   spf_.ApplyTopologyChange(members);
   spf_.Prime(members, pool_.get());
 
-  // Slot-stable clear: the Engine caches `const Fib*` per router, so the
-  // Fib objects must keep their addresses.
-  for (const topo::RouterId rid : members) fibs_[rid] = routing::Fib{};
+  // Clear in place: the Engine caches `const Fib*` per router, so the Fib
+  // objects must keep their addresses, and each keeps its entry array's
+  // storage, so the rebuilt tables stay where they were in the heap.
+  for (const topo::RouterId rid : members) fibs_[rid].Clear();
 
   // An intra-AS flip is invisible at the AS level (the adjacency only
   // counts inter-AS links), so the cached bgp_level_ is still exact.
@@ -152,7 +153,8 @@ void Network::ReconvergeInterAs(routing::ConvergenceDelta& delta) {
   for (std::size_t r = 0; r < n; ++r) {
     all[r] = static_cast<topo::RouterId>(r);
   }
-  for (routing::Fib& fib : fibs_) fib = routing::Fib{};
+  // Clear in place, as ReconvergeAs does.
+  for (routing::Fib& fib : fibs_) fib.Clear();
 
   const std::vector<topo::AsNumber> as_numbers = topology_->AsNumbers();
   std::vector<routing::IgpPlan> plans(as_numbers.size());

@@ -597,8 +597,7 @@ std::string TraceText(const probe::TraceResult& trace) {
 /// and the hits serve the same bytes and id budgets.
 void ExpectSameHits(const campaign::TraceCache& got,
                     const campaign::TraceCache& want,
-                    gen::SyntheticInternet& world) {
-  const std::uint64_t epoch = world.engine().convergence_epoch();
+                    gen::SyntheticInternet& world, std::uint64_t epoch) {
   std::vector<netbase::Ipv4Address> addresses;
   for (const topo::Interface& iface : world.topology().interfaces()) {
     addresses.push_back(iface.address);
@@ -634,6 +633,47 @@ void ExpectSameHits(const campaign::TraceCache& got,
     }
   }
   EXPECT_GT(hits, 0u);
+}
+
+/// ExpectSameHits at the world's current epoch.
+void ExpectSameHits(const campaign::TraceCache& got,
+                    const campaign::TraceCache& want,
+                    gen::SyntheticInternet& world) {
+  ExpectSameHits(got, want, world, world.engine().convergence_epoch());
+}
+
+TEST(DeltaReprobe, RunBeforeRunDeltaRecordsTheSameFootprints) {
+  // A cold Run records no footprints, and must not stop the RunDelta
+  // after it on the same Campaign from recording them. An intra-AS flap
+  // leaves an entry stale exactly when its footprint holds the touched
+  // AS, so equal promotions after a flap in every AS mean equal
+  // footprints.
+  gen::SyntheticInternet world(SmallWorld());
+  const auto targets = world.AllLoopbacks();
+  campaign::Campaign reused(world.engine(), world.vantage_points(),
+                            DeltaCampaignOptions(/*jobs=*/2));
+  (void)reused.Run(targets);
+  campaign::TraceCache after_run;
+  (void)reused.RunDelta(targets, after_run);
+  campaign::Campaign fresh(world.engine(), world.vantage_points(),
+                           DeltaCampaignOptions(/*jobs=*/2));
+  campaign::TraceCache alone;
+  (void)fresh.RunDelta(targets, alone);
+  EXPECT_EQ(after_run.RetainedBytes(), alone.RetainedBytes());
+
+  const std::uint64_t epoch = world.engine().convergence_epoch();
+  for (const topo::AsNumber asn : world.topology().AsNumbers()) {
+    SCOPED_TRACE("flap in AS " + std::to_string(asn));
+    const routing::ConvergenceDelta flap{
+        .epoch = epoch + 1,
+        .scope = routing::ConvergenceDelta::Scope::kIntraAs,
+        .touched_as = asn};
+    campaign::TraceCache got = after_run;
+    campaign::TraceCache want = alone;
+    got.Invalidate(flap);
+    want.Invalidate(flap);
+    ExpectSameHits(got, want, world, epoch + 1);
+  }
 }
 
 TEST(DeltaReprobe, CompactionKeepsEveryHitAndFootprint) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -148,7 +149,7 @@ TEST(Fib, LookupExactMissesOnUnpopulatedLengths) {
   fib.AddRoute(e);
   e.prefix = *netbase::Prefix::Parse("10.1.2.0/24");
   fib.AddRoute(e);
-  // Force both code paths: unsealed (map) first, then sealed (flat index).
+  // Lazily sealed by the first LookupExact, then sealed again eagerly.
   for (int pass = 0; pass < 2; ++pass) {
     EXPECT_EQ(fib.LookupExact(*netbase::Prefix::Parse("10.1.0.0/16")),
               nullptr) << "pass " << pass;
@@ -274,6 +275,148 @@ TEST(Fib, SealedLookupMatchesANaiveLongestMatch) {
       extra.prefix = RandomPrefix(rng, clustered);
       fib.AddRoute(extra);
       expect_naive_matches("after a reseal");
+    }
+  }
+}
+
+// The build rule as an ordered map applies it: AddRoute is
+// insert_or_assign and AddRouteIfAbsent is try_emplace, in add order.
+using FibModel = std::map<std::pair<std::uint32_t, int>, FibEntry>;
+
+void AddToModel(FibModel& model, FibEntry entry, bool if_absent) {
+  std::sort(entry.next_hops.begin(), entry.next_hops.end());
+  entry.next_hops.truncate(static_cast<std::size_t>(
+      std::unique(entry.next_hops.begin(), entry.next_hops.end()) -
+      entry.next_hops.begin()));
+  const auto key =
+      std::make_pair(entry.prefix.address().value(), entry.prefix.length());
+  if (if_absent) {
+    model.try_emplace(key, std::move(entry));
+  } else {
+    model.insert_or_assign(key, std::move(entry));
+  }
+}
+
+void ExpectSameEntry(const FibEntry& got, const FibEntry& want) {
+  EXPECT_EQ(got.prefix, want.prefix);
+  EXPECT_EQ(got.source, want.source);
+  EXPECT_EQ(got.metric, want.metric);
+  EXPECT_TRUE(std::equal(got.next_hops.begin(), got.next_hops.end(),
+                         want.next_hops.begin(), want.next_hops.end()))
+      << got.prefix.ToString();
+  EXPECT_EQ(got.bgp_next_hop, want.bgp_next_hop);
+}
+
+// Entries() order and contents, size(), LookupExact on every prefix of
+// `pool`, and Lookup on edge and random addresses, against `model`.
+void ExpectMatchesModel(const Fib& fib, const FibModel& model,
+                        const std::vector<netbase::Prefix>& pool,
+                        netbase::Rng& rng, const std::string& when) {
+  SCOPED_TRACE(when);
+  ASSERT_EQ(fib.size(), model.size());
+  const std::vector<const FibEntry*> entries = fib.Entries();
+  ASSERT_EQ(entries.size(), model.size());
+  auto want = model.begin();
+  for (const FibEntry* entry : entries) {
+    ExpectSameEntry(*entry, (want++)->second);
+  }
+
+  for (const netbase::Prefix& prefix : pool) {
+    const FibEntry* got = fib.LookupExact(prefix);
+    const auto it =
+        model.find({prefix.address().value(), prefix.length()});
+    ASSERT_EQ(got == nullptr, it == model.end()) << prefix.ToString();
+    if (got != nullptr) ExpectSameEntry(*got, it->second);
+  }
+
+  for (const netbase::Ipv4Address dst : EdgeAndRandomAddresses(fib, rng)) {
+    const FibEntry* best = nullptr;
+    for (const auto& [key, entry] : model) {
+      if (entry.prefix.Contains(dst) &&
+          (best == nullptr ||
+           entry.prefix.length() > best->prefix.length())) {
+        best = &entry;
+      }
+    }
+    const FibEntry* got = fib.Lookup(dst);
+    ASSERT_EQ(got == nullptr, best == nullptr) << dst.ToString();
+    if (got != nullptr) ExpectSameEntry(*got, *best);
+  }
+}
+
+TEST(Fib, BuildRuleMatchesAnOrderedMapModel) {
+  for (const bool clustered : {true, false}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      netbase::Rng rng(seed);
+      // A small pool, so most prefixes are added many times over.
+      std::vector<netbase::Prefix> pool;
+      const int pool_size = rng.UniformInt(1, 12);
+      for (int i = 0; i < pool_size; ++i) {
+        pool.push_back(RandomPrefix(rng, clustered));
+      }
+      Fib fib;
+      FibModel model;
+      int adds = 0;
+      // Adds `count` routes to both, AddRoute or AddRouteIfAbsent at
+      // random, each with a distinct metric and a next-hop set that
+      // AddRoute must sort and dedupe.
+      const auto add = [&](Fib& into, FibModel& into_model, int count) {
+        for (int i = 0; i < count; ++i) {
+          FibEntry entry;
+          entry.prefix = pool[static_cast<std::size_t>(
+              rng.UniformInt(0, pool_size - 1))];
+          entry.source = static_cast<RouteSource>(rng.UniformInt(0, 2));
+          entry.metric = ++adds;
+          for (int h = rng.UniformInt(0, 3); h > 0; --h) {
+            entry.next_hops.push_back(
+                {static_cast<topo::LinkId>(rng.UniformInt(0, 3)),
+                 static_cast<RouterId>(rng.UniformInt(0, 3))});
+          }
+          entry.bgp_next_hop = netbase::Ipv4Address(rng.UniformU32());
+          const bool if_absent = rng.Chance(0.5);
+          AddToModel(into_model, entry, if_absent);
+          if (if_absent) {
+            into.AddRouteIfAbsent(std::move(entry));
+          } else {
+            into.AddRoute(std::move(entry));
+          }
+        }
+      };
+
+      add(fib, model, rng.UniformInt(0, 40));
+      ExpectMatchesModel(fib, model, pool, rng, "as built");
+      add(fib, model, rng.UniformInt(1, 20));
+      ExpectMatchesModel(fib, model, pool, rng, "added after a seal");
+
+      // Copies: of a sealed FIB, and of one with adds pending.
+      const Fib sealed_copy = fib;
+      const FibModel sealed_model = model;
+      add(fib, model, rng.UniformInt(1, 20));
+      const Fib pending_copy = fib;
+      ExpectMatchesModel(pending_copy, model, pool, rng, "pending copy");
+      ExpectMatchesModel(fib, model, pool, rng, "copied from");
+      ExpectMatchesModel(sealed_copy, sealed_model, pool, rng, "sealed copy");
+      Fib assigned;
+      assigned = sealed_copy;
+      ExpectMatchesModel(assigned, sealed_model, pool, rng, "copy-assigned");
+
+      // Moves, with adds pending: the target serves the table, the source
+      // is left empty.
+      add(fib, model, rng.UniformInt(1, 20));
+      Fib moved(std::move(fib));
+      ExpectMatchesModel(moved, model, pool, rng, "move-constructed");
+      ExpectMatchesModel(fib, FibModel{}, pool, rng, "moved from");
+      add(moved, model, rng.UniformInt(1, 20));
+      fib = std::move(moved);
+      ExpectMatchesModel(fib, model, pool, rng, "move-assigned");
+      ExpectMatchesModel(moved, FibModel{}, pool, rng, "move-assigned from");
+
+      // Clear and rebuild: nothing of the old table survives.
+      fib.Clear();
+      FibModel rebuilt;
+      ExpectMatchesModel(fib, rebuilt, pool, rng, "cleared");
+      add(fib, rebuilt, rng.UniformInt(1, 40));
+      ExpectMatchesModel(fib, rebuilt, pool, rng, "rebuilt");
     }
   }
 }
