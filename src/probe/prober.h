@@ -72,9 +72,9 @@ class Prober {
   }
 
   /// The ASes the last Traceroute's or Ping's probes and replies crossed
-  /// (sim/footprint.h): cleared when each starts, and left empty while the
-  /// prober does not record footprints. Not measurement data — what the
-  /// trace cache's dirty rule reads.
+  /// (sim/footprint.h): cleared when each starts, and left empty unless
+  /// the prober records footprints (see Restart). Not measurement data —
+  /// what the trace cache's dirty rule reads.
   [[nodiscard]] const sim::Footprint& footprint() const {
     return footprint_;
   }
@@ -83,10 +83,11 @@ class Prober {
   /// and the sent counter at 0. The reply memo and the forward cursor keep
   /// their storage; the memo still holds only walks of the current epoch
   /// (it empties itself when the engine reconverges), so what a restarted
-  /// prober observes is id-for-id what a new one would. A fresh prober
-  /// records footprints; `record_footprint` false stops that until the
-  /// next Restart, for runs that keep no trace cache to read them.
-  void Restart(bool record_footprint = true) {
+  /// prober observes is id-for-id what a new one would. A new prober
+  /// records no footprints; `record_footprint` says whether to record
+  /// them until the next Restart. Only a trace cache reads them, so
+  /// Campaign::StartRun turns recording on for runs that have one.
+  void Restart(bool record_footprint) {
     next_probe_id_ = 1;
     probes_sent_ = 0;
     record_footprint_ = record_footprint;
@@ -109,7 +110,7 @@ class Prober {
   sim::ReplyMemo reply_memo_;
   sim::ForwardCursor forward_cursor_;
   sim::Footprint footprint_;
-  bool record_footprint_ = true;
+  bool record_footprint_ = false;
 };
 
 }  // namespace wormhole::probe

@@ -241,8 +241,9 @@ void InstallBgpRoutesForRouter(const Topology& topology,
   // AS via iBGP with next-hop-self: other routers of the AS reach such a
   // subnet through the border's loopback, i.e. over an LDP LSP when MPLS
   // is on. (The IGP deliberately does not carry these prefixes.) The
-  // subnet list was flattened per AS in ComputeBgpLevel; AddRouteIfAbsent
-  // keeps the connected-route-wins rule in a single tree descent.
+  // subnet list was flattened per AS in ComputeBgpLevel. AddRouteIfAbsent
+  // keeps the connected-route-wins rule: the FIB's seal keeps a connected
+  // AddRoute over any AddRouteIfAbsent for the same prefix.
   for (const BorderSubnet& bs : level.border_subnets.at(from_as)) {
     if (bs.border == rid) continue;  // connected route already present
     const int border_distance = tree.DistanceTo(bs.border);

@@ -82,7 +82,7 @@ void Fib::Seal() const {
     };
 
     // Sort (key, add sequence) pairs rather than the routes themselves:
-    // 16 bytes a move instead of 88. Adds made in order skip the sort.
+    // 16 bytes a move instead of 88.
     std::vector<std::pair<std::uint64_t, std::uint32_t>> order(
         first_pending + pending_.size());
     WORMHOLE_ASSERT(order.size() <= kIndexMask,
@@ -91,9 +91,7 @@ void Fib::Seal() const {
       const Prefix& prefix = route_at(seq).prefix;
       order[seq] = {KeyOf(prefix.address().value(), prefix.length()), seq};
     }
-    if (!std::is_sorted(order.begin(), order.end())) {
-      std::sort(order.begin(), order.end());
-    }
+    std::sort(order.begin(), order.end());
 
     std::size_t distinct = 0;
     for (std::size_t i = 0; i < order.size(); ++i) {

@@ -74,9 +74,7 @@ void InstallIgpRoutesForRouter(const topo::Topology& topology,
     fib.AddRoute(std::move(entry));
   }
 
-  // Remote internal prefixes via their nearest owner. The plan is sorted
-  // by prefix, so install order (and thus build-side content) matches the
-  // historical std::map walk.
+  // Remote internal prefixes via their nearest owner.
   for (const IgpPrefixOwners& group : plan.prefixes) {
     int best = kUnreachable;
     RouterId best_owner = topo::kNoRouter;

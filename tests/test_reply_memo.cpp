@@ -292,6 +292,7 @@ sim::ReplyMemo::Counts ExpectMemoParity(
   EXPECT_GT(cursor.counts().resumes, 0u);
 
   probe::Prober prober(engine, vp);
+  prober.Restart(/*record_footprint=*/true);
   const Observed seen = RunScript(engine, prober, targets, options);
   ExpectSameObservations(want, seen, "prober");
   // The script repeats every walk, so the memo must have served some; and
@@ -608,7 +609,7 @@ TEST(ReplyMemo, ProberAcrossALinkFlapEqualsAFreshProber) {
     for (const bool up : {false, true}) {
       world.mutable_topology().SetLinkUp(link, up);
       (void)world.network().OnLinkStateChange(link);
-      warm.Restart();
+      warm.Restart(/*record_footprint=*/false);
       probe::Prober fresh(engine, vp);
       ReferenceProber reference(engine, vp);
       for (std::size_t t = 0; t < targets.size(); ++t) {
@@ -625,6 +626,25 @@ TEST(ReplyMemo, ProberAcrossALinkFlapEqualsAFreshProber) {
   }
   // The flaps did move paths, so a stale memo would have shown.
   EXPECT_GT(changed, 0u);
+}
+
+TEST(ReplyMemo, AProberRecordsFootprintsOnlyWhenAsked) {
+  // Only a trace cache reads footprints, so a new prober records none;
+  // Restart turns recording on or off, and the trace is the same either
+  // way.
+  gen::Gns3Testbed testbed({.scenario = gen::Gns3Scenario::kDefault});
+  probe::Prober prober(testbed.engine(), testbed.vantage_point());
+  const Ipv4Address target = testbed.Address("CE2.left");
+  const probe::TraceResult quiet = prober.Traceroute(target);
+  EXPECT_TRUE(prober.footprint().ases().empty());
+  prober.Restart(/*record_footprint=*/true);
+  ExpectSameTrace(quiet, prober.Traceroute(target), "recording");
+  EXPECT_FALSE(prober.footprint().ases().empty());
+  (void)prober.Ping(target);
+  EXPECT_FALSE(prober.footprint().ases().empty());
+  prober.Restart(/*record_footprint=*/false);
+  ExpectSameTrace(quiet, prober.Traceroute(target), "not recording");
+  EXPECT_TRUE(prober.footprint().ases().empty());
 }
 
 TEST(ReplyMemo, CountsArePinnedOnTheDefaultTestbed) {
